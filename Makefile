@@ -14,10 +14,15 @@ test:
 # warm/cold differential suites — the pipeline's cancellation/parallel
 # paths, the canonicalization property tests backing the cache keys, and
 # the distributed runtime's chaos and anytime-partial differential suites,
-# including the real-socket TCP transport and coordinator suites).
+# including the real-socket TCP transport and coordinator suites). The core
+# and server suites run at GOMAXPROCS 1 and 4, so schedule-dependent
+# accounting fails here whatever the host's core count; -count=1 because
+# the test cache does not key on GOMAXPROCS.
 check:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/server/ ./internal/core/ ./internal/wal/
+	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/server/ ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/server/ ./internal/core/
+	$(GO) test -race ./internal/wal/
 	$(GO) test -race -run 'Canonical' ./internal/pattern/
 	$(GO) test -race -run 'Chaos|Partial|SharedCache|Coordinator|RankServer|DialGroup' ./internal/dist/...
 

@@ -21,9 +21,6 @@
 //	        [-ingest] [-ingest-maxbody 16777216]
 //	        [-wal-dir DIR] [-wal-sync always|interval|none]
 //	        [-wal-checkpoint-every N] [-wal-segment-bytes N]
-//	        [-no-symmetry] [-no-guards] [-no-relabel]
-//	        [-chaos-seed S -chaos-drop 0.1 -chaos-dup 0.1
-//	         -chaos-crash 100 -chaos-ranks 4]
 //	        [-ranks-addr host:p1,host:p2 -ranks-timeout 5s
 //	         -ranks-dial-timeout 30s]
 //
@@ -66,12 +63,6 @@
 // while -shared-nlcc promotes the NLCC work-recycling cache to one store
 // shared across queries. Both are correctness-neutral: exact verification
 // never depended on either cache.
-//
-// The -chaos-* flags opt the server into fault-injected serving: queries
-// run on the simulated distributed engine (internal/dist) with seeded
-// message drops/duplications and rank crashes, exercising the
-// at-least-once delivery and checkpoint/recovery machinery while serving
-// bit-identical results; fault counters surface on /metrics.
 //
 // -ranks-addr turns the server into a thin coordinator over a group of
 // amatchrank worker processes: /match and /explore requests are validated
@@ -119,11 +110,6 @@ func main() {
 		maxBody      = flag.Int64("maxbody", 1<<20, "max request body bytes")
 		workers      = flag.Int("workers", 0, "per-query kernel workers (0 = scheduler-aware default, -1 = sequential)")
 		compactBelow = flag.Float64("compact-below", 0.5, "compact the search state into a dense graph view when its active fraction drops below this threshold (0 disables)")
-		chaosSeed    = flag.Int64("chaos-seed", -1, "fault-schedule seed; >= 0 enables chaos mode (queries run on the fault-injected distributed engine)")
-		chaosDrop    = flag.Float64("chaos-drop", 0, "per-transmission drop probability in chaos mode")
-		chaosDup     = flag.Float64("chaos-dup", 0, "per-transmission duplication probability in chaos mode")
-		chaosCrash   = flag.Int("chaos-crash", 0, "crash rank 0 after this many deliveries per traversal in chaos mode (0 = no crashes)")
-		chaosRanks   = flag.Int("chaos-ranks", 4, "simulated distributed ranks in chaos mode")
 		maxWork      = flag.Int64("max-work", 0, "per-query pipeline work-unit budget; exhausted /match queries return an exact partial result (0 = no limit)")
 		maxBytes     = flag.Int64("max-bytes", 0, "per-query auxiliary allocation budget in bytes (0 = no limit)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "work-recycling cache cap in bytes, LRU-evicted beyond it (0 = unbounded); caps the shared store with -shared-nlcc, per-query caches otherwise")
@@ -133,9 +119,6 @@ func main() {
 		memWatermark = flag.Uint64("mem-watermark", 0, "shed new queries with 503 while the live Go heap exceeds this many bytes (0 = disabled)")
 		ingest       = flag.Bool("ingest", false, "enable POST /ingest live mutation batches (unauthenticated graph writes — only expose on trusted networks)")
 		ingestBody   = flag.Int64("ingest-maxbody", 16<<20, "max /ingest request body bytes")
-		noSymmetry   = flag.Bool("no-symmetry", false, "disable automorphism symmetry breaking in the counting/enumeration kernels (ablation; results unchanged)")
-		noGuards     = flag.Bool("no-guards", false, "disable failure-guard pruning in the verification kernels (ablation; results unchanged)")
-		noRelabel    = flag.Bool("no-relabel", false, "keep input vertex ids as internal ids instead of relabeling by descending degree (ablation; the API always speaks input ids)")
 		ranksAddr    = flag.String("ranks-addr", "", "comma-separated amatchrank worker addresses; when set, /match and /explore are routed to the rank group (empty = in-process engine)")
 		ranksTimeout = flag.Duration("ranks-timeout", 0, "per-exchange coordinator timeout for dials and routed queries (0 = querytimeout, or 5s when that is unset)")
 		ranksDial    = flag.Duration("ranks-dial-timeout", 30*time.Second, "total budget for dialing the rank group: failed dials retry with capped exponential backoff until it elapses (0 = one attempt per worker)")
@@ -163,29 +146,13 @@ func main() {
 	// Degree-ordered internal ids for kernel cache locality. The HTTP API is
 	// unaffected: /match vectors and /ingest batches are translated at the
 	// boundary, so clients always speak the input file's ids.
-	if !*noRelabel {
-		g = graph.RelabelByDegree(g)
-	}
+	g = graph.RelabelByDegree(g)
 
 	// server.Config treats 0 as "pipeline default" and negative as "off",
 	// so a -compact-below 0 on the command line maps to the off sentinel.
 	cb := *compactBelow
 	if cb <= 0 {
 		cb = -1
-	}
-	// -chaos-seed >= 0 opts the server into fault-injected serving: queries
-	// run on the distributed engine with this fault plane, and the chaos
-	// differential suite's guarantee is that results stay bit-identical.
-	var chaos *dist.Faults
-	if *chaosSeed >= 0 {
-		chaos = &dist.Faults{
-			Seed:      *chaosSeed,
-			Drop:      *chaosDrop,
-			Duplicate: *chaosDup,
-		}
-		if *chaosCrash > 0 {
-			chaos.Crash = &dist.CrashEvent{Rank: 0, After: *chaosCrash}
-		}
 	}
 	// Bind the listener and start serving behind a ready gate before
 	// recovery and rank dialing begin: probes and smoke scripts see a live
@@ -272,8 +239,6 @@ func main() {
 		MaxBodyBytes:       *maxBody,
 		Workers:            *workers,
 		CompactBelow:       cb,
-		Chaos:              chaos,
-		ChaosRanks:         *chaosRanks,
 		MaxWork:            *maxWork,
 		MaxBytes:           *maxBytes,
 		CacheBytes:         *cacheBytes,
@@ -283,8 +248,6 @@ func main() {
 		MemHighWatermark:   *memWatermark,
 		EnableIngest:       *ingest,
 		IngestMaxBodyBytes: *ingestBody,
-		NoSymmetry:         *noSymmetry,
-		NoGuards:           *noGuards,
 		Logger:             logger,
 		Coordinator:        coord,
 		WAL:                wlog,

@@ -12,7 +12,7 @@
 // workers disagree (or disagree with its own graph), so a worker serving
 // a different file or relabeling can never silently answer queries
 // against the wrong data. Every worker must therefore load the same
-// graph with the same -no-relabel setting as the coordinator.
+// graph file as the coordinator.
 //
 // Usage:
 //
@@ -20,8 +20,7 @@
 //	           [-querytimeout 30s] [-maxk 6] [-workers N]
 //	           [-compact-below 0.5] [-max-work N] [-max-bytes N]
 //	           [-cache-bytes N] [-result-cache-bytes N]
-//	           [-shared-nlcc=false] [-no-symmetry] [-no-guards]
-//	           [-no-relabel]
+//	           [-shared-nlcc=false]
 //
 // The process shuts down gracefully on SIGINT/SIGTERM, draining in-flight
 // routed queries.
@@ -55,9 +54,6 @@ func main() {
 		cacheBytes   = flag.Int64("cache-bytes", 0, "work-recycling cache cap in bytes (0 = unbounded)")
 		resultCache  = flag.Int64("result-cache-bytes", 64<<20, "cross-query result cache cap in bytes (0 = disabled)")
 		sharedNLCC   = flag.Bool("shared-nlcc", true, "share one NLCC work-recycling store across queries")
-		noSymmetry   = flag.Bool("no-symmetry", false, "disable automorphism symmetry breaking (ablation)")
-		noGuards     = flag.Bool("no-guards", false, "disable failure-guard pruning (ablation)")
-		noRelabel    = flag.Bool("no-relabel", false, "keep input vertex ids as internal ids (must match the coordinator's setting)")
 	)
 	flag.Parse()
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
@@ -75,10 +71,8 @@ func main() {
 		fatal(logger, "read graph", err)
 	}
 	// Same load path as amatchd: the graph signature covers the relabeled
-	// structure, so coordinator and workers must agree on -no-relabel.
-	if !*noRelabel {
-		g = graph.RelabelByDegree(g)
-	}
+	// structure.
+	g = graph.RelabelByDegree(g)
 	cb := *compactBelow
 	if cb <= 0 {
 		cb = -1
@@ -92,8 +86,6 @@ func main() {
 		CacheBytes:       *cacheBytes,
 		ResultCacheBytes: *resultCache,
 		SharedNLCC:       *sharedNLCC,
-		NoSymmetry:       *noSymmetry,
-		NoGuards:         *noGuards,
 		Logger:           logger,
 	})
 	s.MaxEditDistance = *maxK

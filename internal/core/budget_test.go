@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -247,5 +248,64 @@ func TestBudgetTrackerDims(t *testing.T) {
 
 	if NewBudgetTracker(Budget{}) != nil {
 		t.Fatal("zero budget must yield a nil (unlimited) tracker")
+	}
+}
+
+// TestAccountingScheduleIndependent is the guard against forked probes
+// leaking uncharged ticks: on seeded R-MAT graphs with randomized k=2
+// templates, the bytes a run charges must not depend on the prototype
+// parallelism or the kernel worker count, and — with work recycling off, so
+// shared-cache hits cannot depend on interleaving — neither may the work.
+// Workers 0 is the Gauss-Seidel reference schedule, which legitimately does
+// different work, so it joins the bytes axis only. Parallelism 1 goes
+// through RunContext, so Run and RunParallel are held to one ledger; every
+// other trial forces compaction so compacted views are charged too.
+func TestAccountingScheduleIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(4242))
+	for trial := 0; trial < 6; trial++ {
+		p := rmat.Graph500(7, int64(5000+trial))
+		p.EdgeFactor = 4
+		g := rmat.Generate(p)
+		tp := randomDecoratedTemplate(rng, g)
+		for _, recycle := range []bool{true, false} {
+			cfg := DefaultConfig(2)
+			cfg.CountMatches = true
+			cfg.WorkRecycling = recycle
+			if trial%2 == 0 {
+				cfg.CompactBelow = 1.1 // always below threshold: force compaction
+			}
+			var wantBytes, wantWork int64 = -1, -1
+			for _, parallelism := range []int{1, 2, 4} {
+				for _, workers := range []int{0, 1, 2, 4} {
+					c := cfg
+					c.Workers = workers
+					tracker := NewBudgetTracker(Budget{MaxWork: 1 << 62, MaxBytes: 1 << 62})
+					ctx := WithBudgetTracker(context.Background(), tracker)
+					var err error
+					if parallelism == 1 {
+						_, err = RunContext(ctx, g, tp, c)
+					} else {
+						_, err = RunParallelContext(ctx, g, tp, c, parallelism)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					tag := fmt.Sprintf("trial %d recycle=%v parallelism=%d workers=%d", trial, recycle, parallelism, workers)
+					if wantBytes < 0 {
+						wantBytes = tracker.BytesUsed()
+					} else if got := tracker.BytesUsed(); got != wantBytes {
+						t.Errorf("%s: %d bytes charged, want %d", tag, got, wantBytes)
+					}
+					if recycle || workers == 0 {
+						continue
+					}
+					if wantWork < 0 {
+						wantWork = tracker.WorkUsed()
+					} else if got := tracker.WorkUsed(); got != wantWork {
+						t.Errorf("%s: %d work units charged, want %d", tag, got, wantWork)
+					}
+				}
+			}
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"approxmatch/internal/bitvec"
@@ -18,7 +19,7 @@ import (
 // (§4, "Multi-level Parallelism" — Fig. 8's scenario Z): the prototypes of
 // each edit-distance level are searched concurrently on replicas of the
 // level state, up to `parallelism` at a time, sharing one work-recycling
-// cache. Results are bit-identical to Run's.
+// cache. Results are bit-identical to Run's, which is parallelism 1.
 func RunParallel(g *graph.Graph, t *pattern.Template, cfg Config, parallelism int) (*Result, error) {
 	return RunParallelContext(context.Background(), g, t, cfg, parallelism)
 }
@@ -67,6 +68,7 @@ func runParallel(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Confi
 	}
 	e := newEngine(g, set, cfg)
 	defer e.close()
+	e.cc = cc
 	// Pre-build walks and profiles serially: the engine's lazy maps are
 	// not synchronized.
 	for pi := range set.Protos {
@@ -81,6 +83,8 @@ func runParallel(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Confi
 		Rho:       bitvec.NewMatrix(g.NumVertices(), set.Count()),
 		Solutions: make([]*Solution, set.Count()),
 	}
+	// Candidate-set generation runs under the budget too; exhaustion there
+	// yields a Partial result with zero completed levels (Candidate nil).
 	if err := func() (err error) {
 		defer recoverBudgetAbort(&err)
 		res.Candidate = maxCandidateSet(g, t, e.cfg.Restrict, e.pool, cc, &e.metrics)
@@ -105,10 +109,17 @@ func runParallel(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Confi
 	return res, nil
 }
 
-// runLevelParallel is runLevel with the level's prototypes searched
-// concurrently. Like the sequential variant it commits nothing into res
-// until the whole level has completed, so a budget abort mid-level keeps the
-// Partial contract: committed levels are always whole levels.
+// runLevelParallel searches every prototype of one edit-distance level,
+// up to parallelism at a time, and commits the results — solutions, Rho
+// columns, level stats and the next level's containment state — only once
+// the whole level has completed. A budget abort mid-level therefore leaves
+// res exactly as it was before the level started (the level's half-computed
+// solutions are discarded), which is what makes the Partial contract
+// airtight: committed levels are always whole levels.
+//
+// Searches take their slot before they are spawned, so at parallelism 1
+// prototypes run strictly in index order and every counter — shared-cache
+// hits included — is deterministic.
 func (e *engine) runLevelParallel(res *Result, level *State, dist int, cc *CancelCheck, parallelism int) (next *State, err error) {
 	defer recoverBudgetAbort(&err)
 	cc.Check()
@@ -124,11 +135,19 @@ func (e *engine) runLevelParallel(res *Result, level *State, dist int, cc *Cance
 	sem := make(chan struct{}, parallelism)
 	var wg sync.WaitGroup
 	var abortOnce sync.Once
+	var aborted atomic.Bool
 	var abortErr error
 	for idx, pi := range ids {
+		sem <- struct{}{}
+		if aborted.Load() {
+			// A sibling already doomed the level; don't start more work.
+			<-sem
+			break
+		}
 		wg.Add(1)
 		go func(idx, pi int) {
 			defer wg.Done()
+			defer func() { <-sem }()
 			// A fired context or exhausted budget aborts this goroutine's
 			// search via the pipelineAbort panic; capture the first one and
 			// let the level finish draining (sibling searches abort on their
@@ -144,20 +163,25 @@ func (e *engine) runLevelParallel(res *Result, level *State, dist int, cc *Cance
 						ferr = &PanicError{Val: r, Stack: debug.Stack()}
 					}
 					abortOnce.Do(func() { abortErr = ferr })
+					aborted.Store(true)
 				}
 			}()
-			sem <- struct{}{}
-			defer func() { <-sem }()
 			if h := testHookPrototypeSearch; h != nil {
 				h(pi)
 			}
+			// The containment rule only covers prototypes derivable into
+			// the previous level: a (rare) childless prototype — every
+			// legal removal disconnects it — must be searched on the full
+			// candidate set.
 			searchState := searchLevel
 			if dist < set.MaxDist && len(set.Protos[pi].Children) == 0 {
 				searchState = res.Candidate
 			}
-			t := set.Protos[pi].Template
-			sol := searchTemplateOn(searchState, t, e.profiles[pi], e.walks[pi], e.cache, e.pool, cc.Fork(), e.cfg.CountMatches, &metrics[idx], e.cfg.kernel())
-			sol.Proto = pi
+			fork := cc.Fork()
+			sol := e.searchPrototype(searchState, pi, fork, &metrics[idx])
+			// Charge the fork's tail of amortized ticks: every tick is
+			// charged by the time the run returns.
+			fork.Check()
 			sols[idx] = sol
 		}(idx, pi)
 	}

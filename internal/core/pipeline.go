@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"approxmatch/internal/bitvec"
@@ -170,8 +169,9 @@ type engine struct {
 	freq    constraint.LabelFreq
 	metrics Metrics
 	// cc is the run's cancellation probe (nil when the run's context can
-	// never fire). Parallel searches Fork their own; this one serves the
-	// sequential path.
+	// never fire). It serves the coordinator goroutine — candidate set,
+	// compaction, containment states — and the top-down searches; each
+	// bottom-up prototype search Forks its own.
 	cc *CancelCheck
 	// walks caches, per prototype index, the oriented/ordered pruning
 	// walks and the local profile.
@@ -233,10 +233,12 @@ func (e *engine) profileFor(pi int) *localProfile {
 
 // searchPrototype implements Alg. 2 for prototype pi: LCC fixpoint,
 // interleaved NLCC pruning walks (with re-LCC after eliminations), then the
-// exact verification phase. The input level state is not modified.
-func (e *engine) searchPrototype(level *State, pi int) *Solution {
+// exact verification phase, probing cc and counting into m. The input level
+// state is not modified. Concurrent calls are safe once pi's walks and
+// profile are built.
+func (e *engine) searchPrototype(level *State, pi int, cc *CancelCheck, m *Metrics) *Solution {
 	t := e.set.Protos[pi].Template
-	sol := searchTemplateOn(level, t, e.profileFor(pi), e.walksFor(pi), e.cache, e.pool, e.cc, e.cfg.CountMatches, &e.metrics, e.cfg.kernel())
+	sol := searchTemplateOn(level, t, e.profileFor(pi), e.walksFor(pi), e.cache, e.pool, cc, e.cfg.CountMatches, m, e.cfg.kernel())
 	sol.Proto = pi
 	return sol
 }
@@ -261,6 +263,9 @@ func cleanEdges(s *State) *bitvec.Vector {
 // generates P_k, computes the maximum candidate set, then iterates from the
 // furthest edit distance toward 0, searching each prototype within the
 // union of the previous level's solution subgraphs per the containment rule.
+// It is RunParallel with parallelism 1: prototypes are searched one at a
+// time, in index order. A panic inside a prototype search is returned as a
+// *PanicError instead of crashing the process.
 func Run(g *graph.Graph, t *pattern.Template, cfg Config) (*Result, error) {
 	return RunContext(context.Background(), g, t, cfg)
 }
@@ -274,93 +279,10 @@ func Run(g *graph.Graph, t *pattern.Template, cfg Config) (*Result, error) {
 // When a budget governs the run (Config.Budget or WithBudget on ctx) and it
 // is exhausted mid-pipeline, RunContext returns BOTH a non-nil partial
 // result and a non-nil error matching ErrBudgetExhausted — check
-// Result.Partial / errors.Is before discarding either.
+// Result.Partial / errors.Is before discarding either. Like Run, it returns
+// a prototype-search panic as a *PanicError.
 func RunContext(ctx context.Context, g *graph.Graph, t *pattern.Template, cfg Config) (*Result, error) {
-	ctx = withConfigBudget(ctx, cfg.Budget)
-	cc := NewCancelCheck(ctx)
-	var res *Result
-	err := func() (err error) {
-		defer RecoverCancel(&err)
-		cc.Check()
-		res, err = runBottomUp(cc, g, t, cfg)
-		return err
-	}()
-	if err != nil && (res == nil || !res.Partial) {
-		return nil, err
-	}
-	return res, err
-}
-
-func runBottomUp(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Config) (*Result, error) {
-	if cfg.Restrict != nil && cfg.Restrict.Len() != g.NumVertices() {
-		return nil, fmt.Errorf("core: restrict mask has %d bits for %d vertices",
-			cfg.Restrict.Len(), g.NumVertices())
-	}
-	set, err := prototype.Generate(t, cfg.EditDistance)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	e := newEngine(g, set, cfg)
-	defer e.close()
-	e.cc = cc
-
-	res := &Result{
-		Graph:     g,
-		Template:  t,
-		Set:       set,
-		Rho:       bitvec.NewMatrix(g.NumVertices(), set.Count()),
-		Solutions: make([]*Solution, set.Count()),
-	}
-	// Candidate-set generation runs under the budget too; exhaustion there
-	// yields a Partial result with zero completed levels (Candidate nil).
-	if err := func() (err error) {
-		defer recoverBudgetAbort(&err)
-		res.Candidate = maxCandidateSet(g, t, e.cfg.Restrict, e.pool, cc, &e.metrics)
-		return nil
-	}(); err != nil {
-		return e.finishPartial(res, err)
-	}
-
-	level := res.Candidate
-	for dist := set.MaxDist; dist >= 0; dist-- {
-		next, err := e.runLevel(res, level, dist, cc)
-		if err != nil {
-			return e.finishPartial(res, err)
-		}
-		level = next
-	}
-	e.foldCache()
-	res.Metrics = e.metrics
-	return res, nil
-}
-
-// runLevel searches every prototype of one edit-distance level and commits
-// the results — solutions, Rho columns, level stats and the next level's
-// containment state — only once the whole level has completed. A budget
-// abort mid-level therefore leaves res exactly as it was before the level
-// started (the level's half-computed solutions are discarded), which is
-// what makes the Partial contract airtight: committed levels are always
-// whole levels.
-func (e *engine) runLevel(res *Result, level *State, dist int, cc *CancelCheck) (next *State, err error) {
-	defer recoverBudgetAbort(&err)
-	cc.Check()
-	set := res.Set
-	start := time.Now()
-	frac := ActiveFraction(level)
-	searchLevel := e.compact(level)
-	sols := make([]*Solution, 0, set.CountAt(dist))
-	for _, pi := range set.At(dist) {
-		// The containment rule only covers prototypes derivable into
-		// the previous level: a (rare) childless prototype — every
-		// legal removal disconnects it — must be searched on the full
-		// candidate set.
-		searchState := searchLevel
-		if dist < set.MaxDist && len(set.Protos[pi].Children) == 0 {
-			searchState = res.Candidate
-		}
-		sols = append(sols, e.searchPrototype(searchState, pi))
-	}
-	return e.commitLevel(res, sols, dist, frac, searchLevel.View() != nil, start, cc), nil
+	return RunParallelContext(ctx, g, t, cfg, 1)
 }
 
 // commitLevel publishes a completed level's solutions and stats into res and

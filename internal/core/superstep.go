@@ -113,7 +113,14 @@ func (ss *superstep) run(fn func(d *partDelta, lo, hi int)) {
 // per-partition scan order are both fixed, and bit clears are idempotent
 // and commutative, so the merged state and counters are deterministic. It
 // reports whether any partition eliminated anything.
+//
+// Every partition's probe is charged here too: a fork flushes its ticks
+// only every cancelInterval ticks, so without the barrier charge each
+// partition's remainder would never reach the budget.
 func (ss *superstep) merge(m *Metrics) bool {
+	for _, d := range ss.parts {
+		d.cc.Check()
+	}
 	ss.cc.Check()
 	changed := false
 	for _, d := range ss.parts {

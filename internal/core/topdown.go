@@ -93,7 +93,7 @@ func runTopDown(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Config
 		var labels int64
 		levelVerts := bitvec.New(g.NumVertices())
 		for _, pi := range set.At(dist) {
-			sol := e.searchPrototype(searchCand, pi)
+			sol := e.searchPrototype(searchCand, pi, cc, &e.metrics)
 			res.PrototypesSearched++
 			res.Solutions[pi] = sol
 			if sol.Verts.Any() {

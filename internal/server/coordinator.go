@@ -61,9 +61,8 @@ func (s *Server) forward(w http.ResponseWriter, r *http.Request, q *request, end
 
 // RankHandler adapts this server's full HTTP serving stack to the rank
 // worker protocol: a routed query is replayed as an in-process HTTP
-// request through Handler(), so it passes the same scheduler, caches,
-// budgets and chaos configuration as a direct request — and produces the
-// same bytes.
+// request through Handler(), so it passes the same scheduler, caches and
+// budgets as a direct request — and produces the same bytes.
 func (s *Server) RankHandler() dist.QueryHandler {
 	h := s.Handler()
 	return func(endpoint byte, body []byte) (int, string, []byte) {

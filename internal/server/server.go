@@ -65,30 +65,9 @@ type Config struct {
 	// (core.Config.CompactBelow). 0 keeps the pipeline default (0.5);
 	// negative disables compaction.
 	CompactBelow float64
-	// NoSymmetry disables automorphism symmetry breaking in the counting
-	// and enumeration kernels (core.Config.NoSymmetry). Results are
-	// identical either way; this is the ablation knob behind amatchd
-	// -no-symmetry.
-	NoSymmetry bool
-	// NoGuards disables failure-guard pruning in the verification kernels
-	// (core.Config.NoGuards). Results are identical either way; the
-	// ablation knob behind amatchd -no-guards.
-	NoGuards bool
 	// QueryTimeout bounds each query's pipeline time; 0 disables (the
 	// request context still cancels on client disconnect).
 	QueryTimeout time.Duration
-	// Chaos, when non-nil, routes queries through the distributed engine
-	// with the given fault plane instead of the in-process parallel
-	// pipeline — the fault-injection serving mode behind amatchd's
-	// -chaos-* flags. Results are bit-identical to the normal path (the
-	// chaos differential suite's guarantee); fault counters surface on
-	// /metrics.
-	Chaos *dist.Faults
-	// ChaosRanks is the distributed deployment size in chaos mode
-	// (default 4). Each query builds its own engine: rank ownership
-	// mutates during a run, so engines cannot be shared across concurrent
-	// queries.
-	ChaosRanks int
 	// MaxBodyBytes caps the request body (default 1 MiB; larger bodies
 	// get 413).
 	MaxBodyBytes int64
@@ -107,8 +86,7 @@ type Config struct {
 	// /match responses are cached under the template's canonical key (byte
 	// capped, LRU) and served verbatim to isomorphic queries; concurrent
 	// identical queries are coalesced into one pipeline run (single
-	// flight). 0 disables. Partial results are never cached. Chaos mode
-	// bypasses the cache so injected faults keep exercising the pipeline.
+	// flight). 0 disables. Partial results are never cached.
 	ResultCacheBytes int64
 	// SharedNLCC promotes the per-query NLCC work-recycling cache to one
 	// store shared by every query on this graph epoch, so constraint walks
@@ -209,9 +187,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IngestMaxBodyBytes <= 0 {
 		c.IngestMaxBodyBytes = 16 << 20
-	}
-	if c.ChaosRanks < 1 {
-		c.ChaosRanks = 4
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -582,11 +557,6 @@ func (s *Server) writePipelineError(w http.ResponseWriter, r *http.Request, q *r
 		s.metrics.noteBudgetExhausted(false)
 		http.Error(w, err.Error(), http.StatusGatewayTimeout)
 		s.finish(r, q, outcomeBudget, http.StatusGatewayTimeout, slog.Int("k", k))
-	case errors.Is(err, dist.ErrQuiescenceDeadline):
-		// The distributed runtime could not quiesce under the injected
-		// fault schedule — a server-side deadline, not a client error.
-		http.Error(w, err.Error(), http.StatusGatewayTimeout)
-		s.finish(r, q, outcomeTimeout, http.StatusGatewayTimeout, slog.Int("k", k))
 	case errors.Is(err, context.DeadlineExceeded):
 		http.Error(w, fmt.Sprintf("query exceeded timeout %v", s.cfg.QueryTimeout), http.StatusGatewayTimeout)
 		s.finish(r, q, outcomeTimeout, http.StatusGatewayTimeout, slog.Int("k", k))
@@ -599,15 +569,23 @@ func (s *Server) writePipelineError(w http.ResponseWriter, r *http.Request, q *r
 	}
 }
 
-// applyCompaction folds the server's compaction threshold into a per-query
-// pipeline config: positive overrides, 0 keeps the pipeline default,
+// queryConfig is the pipeline config of one query at edit distance k: the
+// pipeline defaults plus the server's cache, worker and compaction settings.
+// A positive CompactBelow overrides the default threshold, 0 keeps it and
 // negative disables compaction.
-func (s *Server) applyCompaction(cfg *core.Config) {
+func (s *Server) queryConfig(k int) core.Config {
+	cfg := core.DefaultConfig(k)
+	cfg.CacheBytes = s.cfg.CacheBytes
+	cfg.SharedCache = s.nlccShared
+	if s.cfg.Workers > 0 {
+		cfg.Workers = s.cfg.Workers
+	}
 	if s.cfg.CompactBelow > 0 {
 		cfg.CompactBelow = s.cfg.CompactBelow
 	} else if s.cfg.CompactBelow < 0 {
 		cfg.CompactBelow = 0
 	}
+	return cfg
 }
 
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
@@ -633,11 +611,10 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	// here on the pipeline (if any) runs on the canonical form, which is
 	// what makes response bodies byte-identical across isomorphic
 	// submissions. The key carries the pinned snapshot's epoch, so entries
-	// version out on every ingest. Chaos mode bypasses the cache so
-	// injected faults keep exercising the full pipeline.
+	// version out on every ingest.
 	var ckey string
 	var leaderFlight *flight
-	cacheable := s.rcache != nil && s.cfg.Chaos == nil
+	cacheable := s.rcache != nil
 	if cacheable {
 		t, ckey, cacheable = canonicalizeForCache(snap.Epoch(), req, t)
 	}
@@ -690,58 +667,28 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx = s.withQueryBudget(ctx)
 
-	var resp MatchResponse
-	if s.cfg.Chaos != nil {
-		eng := s.chaosEngine(snap.Graph())
-		dres, err := func() (res *dist.Result, err error) {
-			defer recoverToPanicError(&err)
-			return dist.RunContext(ctx, eng, t, s.distOptions(req))
-		}()
-		if err != nil && (dres == nil || !dres.Partial) {
-			release()
-			s.observeFaults(eng)
-			s.writePipelineError(w, r, q, err, req.K)
-			return
+	cfg := s.queryConfig(req.K)
+	cfg.CountMatches = req.Count
+	res, err := func() (res *core.Result, err error) {
+		defer recoverToPanicError(&err)
+		if h := testHookMatch; h != nil {
+			h(req)
 		}
-		// Fold the query's counters whether it completed or went partial —
-		// work performed must reach /metrics either way.
-		s.metrics.observePipeline(&dres.VerifyMetrics)
-		if dres.Partial {
-			s.metrics.noteBudgetExhausted(true)
-		}
-		resp = buildMatchResponseDist(snap.Graph(), dres, req, time.Since(q.start))
-	} else {
-		cfg := core.DefaultConfig(req.K)
-		cfg.CountMatches = req.Count
-		cfg.CacheBytes = s.cfg.CacheBytes
-		cfg.SharedCache = s.nlccShared
-		cfg.NoSymmetry = s.cfg.NoSymmetry
-		cfg.NoGuards = s.cfg.NoGuards
-		if s.cfg.Workers > 0 {
-			cfg.Workers = s.cfg.Workers
-		}
-		s.applyCompaction(&cfg)
-		res, err := func() (res *core.Result, err error) {
-			defer recoverToPanicError(&err)
-			if h := testHookMatch; h != nil {
-				h(req)
-			}
-			return core.RunParallelContext(ctx, snap.Graph(), t, cfg, s.cfg.Parallelism)
-		}()
-		if err != nil && (res == nil || !res.Partial) {
-			release()
-			s.writePipelineError(w, r, q, err, req.K)
-			return
-		}
-		s.metrics.observePipeline(&res.Metrics)
-		if res.Partial {
-			s.metrics.noteBudgetExhausted(true)
-		}
-		// Build the response while still holding the slot (it reads
-		// pipeline state), then release BEFORE serialization: encoding a
-		// huge Vectors map to a slow client must not occupy query capacity.
-		resp = buildMatchResponse(snap.Graph(), res, req, time.Since(q.start))
+		return core.RunParallelContext(ctx, snap.Graph(), t, cfg, s.cfg.Parallelism)
+	}()
+	if err != nil && (res == nil || !res.Partial) {
+		release()
+		s.writePipelineError(w, r, q, err, req.K)
+		return
 	}
+	s.metrics.observePipeline(&res.Metrics)
+	if res.Partial {
+		s.metrics.noteBudgetExhausted(true)
+	}
+	// Build the response while still holding the slot (it reads pipeline
+	// state), then release BEFORE serialization: encoding a huge Vectors
+	// map to a slow client must not occupy query capacity.
+	resp := buildMatchResponse(snap.Graph(), res, req, time.Since(q.start))
 	release()
 
 	outcome := outcomeOK
@@ -789,93 +736,9 @@ func recoverToPanicError(err *error) {
 	}
 }
 
-// chaosEngine builds a per-query distributed deployment over the query's
-// pinned snapshot with the server's fault plane attached.
-func (s *Server) chaosEngine(g *graph.Graph) *dist.Engine {
-	return dist.NewEngine(g, dist.Config{Ranks: s.cfg.ChaosRanks, Faults: s.cfg.Chaos})
-}
-
-// observeFaults salvages a failed chaos query's fault counters: the engine
-// is per-query, so without this a deadline abort would silently discard the
-// stalls/retries/crashes that caused it.
-func (s *Server) observeFaults(eng *dist.Engine) {
-	var m core.Metrics
-	eng.FoldFaultMetrics(&m)
-	s.metrics.observePipeline(&m)
-}
-
-// distOptions translates a request into distributed pipeline options,
-// honoring the server's worker and compaction settings.
-func (s *Server) distOptions(req *MatchRequest) dist.Options {
-	opts := dist.DefaultOptions(req.K)
-	opts.CountMatches = req.Count
-	// The shared NLCC store is correctness-neutral even under injected
-	// faults (verification is exact), so chaos-mode queries recycle too.
-	opts.SharedCache = s.nlccShared
-	if s.cfg.Workers > 0 {
-		opts.Workers = s.cfg.Workers
-	}
-	if s.cfg.CompactBelow > 0 {
-		opts.CompactBelow = s.cfg.CompactBelow
-	} else if s.cfg.CompactBelow < 0 {
-		opts.CompactBelow = 0
-	}
-	return opts
-}
-
-// buildMatchResponseDist mirrors buildMatchResponse for the distributed
-// result shape; both serve the same JSON contract. g is the snapshot the
-// query ran on: pipeline vertex ids are internal (possibly degree-relabeled),
-// the wire speaks external ids.
-func buildMatchResponseDist(g *graph.Graph, res *dist.Result, req *MatchRequest, elapsed time.Duration) MatchResponse {
-	resp := MatchResponse{
-		Prototypes: make([]PrototypeSummary, 0, len(res.Set.Protos)),
-		Vectors:    map[string][]int{},
-		ElapsedMS:  elapsed.Milliseconds(),
-		Partial:    res.Partial,
-	}
-	exact := completeDists(res.Levels)
-	for _, lv := range res.Levels {
-		resp.Labels += lv.LabelsGenerated
-	}
-	for pi, p := range res.Set.Protos {
-		ps := PrototypeSummary{Index: pi, Dist: p.Dist, Exact: exact[p.Dist]}
-		if sol := res.Solutions[pi]; sol != nil {
-			ps.Vertices = sol.Verts.Count()
-			if req.Count {
-				c := sol.MatchCount
-				ps.MatchCount = &c
-			}
-		}
-		resp.Prototypes = append(resp.Prototypes, ps)
-	}
-	if req.Vectors {
-		// Prototype-major iteration appends indices in ascending order per
-		// vertex, matching the sequential path's MatchVector output.
-		for pi, sol := range res.Solutions {
-			if sol == nil {
-				continue
-			}
-			sol.Verts.ForEach(func(v int) {
-				key := fmt.Sprintf("%d", g.ExternalID(graph.VertexID(v)))
-				resp.Vectors[key] = append(resp.Vectors[key], pi)
-			})
-		}
-	}
-	return resp
-}
-
-// completeDists maps each edit distance to whether its level completed.
-func completeDists(levels []core.LevelStats) map[int]bool {
-	m := make(map[int]bool, len(levels))
-	for _, lv := range levels {
-		m[lv.Dist] = lv.Complete
-	}
-	return m
-}
-
-// buildMatchResponse translates the pipeline result to the wire shape; see
-// buildMatchResponseDist for the id-space contract of g.
+// buildMatchResponse translates the pipeline result to the wire shape. g is
+// the snapshot the query ran on: pipeline vertex ids are internal (possibly
+// degree-relabeled), the wire speaks external ids.
 func buildMatchResponse(g *graph.Graph, res *core.Result, req *MatchRequest, elapsed time.Duration) MatchResponse {
 	resp := MatchResponse{
 		Prototypes: make([]PrototypeSummary, 0, len(res.Set.Protos)),
@@ -884,7 +747,11 @@ func buildMatchResponse(g *graph.Graph, res *core.Result, req *MatchRequest, ela
 		ElapsedMS:  elapsed.Milliseconds(),
 		Partial:    res.Partial,
 	}
-	exact := completeDists(res.Levels)
+	// exact maps each edit distance to whether its level completed.
+	exact := make(map[int]bool, len(res.Levels))
+	for _, lv := range res.Levels {
+		exact[lv.Dist] = lv.Complete
+	}
 	for pi, p := range res.Set.Protos {
 		ps := PrototypeSummary{Index: pi, Dist: p.Dist, Exact: exact[p.Dist]}
 		if sol := res.Solutions[pi]; sol != nil {
@@ -928,52 +795,21 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx = s.withQueryBudget(ctx)
 
-	var resp ExploreResponse
-	if s.cfg.Chaos != nil {
-		eng := s.chaosEngine(snap.Graph())
-		dres, err := func() (res *dist.TopDownResult, err error) {
-			defer recoverToPanicError(&err)
-			return dist.RunTopDownContext(ctx, eng, t, s.distOptions(req))
-		}()
-		if err != nil {
-			release()
-			s.observeFaults(eng)
-			s.writePipelineError(w, r, q, err, req.K)
-			return
-		}
-		s.metrics.observePipeline(&dres.VerifyMetrics)
-		resp = ExploreResponse{
-			FoundDist:          dres.FoundDist,
-			PrototypesSearched: dres.PrototypesSearched,
-			MatchingVertices:   dres.MatchingVertices.Count(),
-			ElapsedMS:          time.Since(q.start).Milliseconds(),
-		}
-	} else {
-		cfg := core.DefaultConfig(req.K)
-		cfg.CacheBytes = s.cfg.CacheBytes
-		cfg.SharedCache = s.nlccShared
-		cfg.NoSymmetry = s.cfg.NoSymmetry
-		cfg.NoGuards = s.cfg.NoGuards
-		if s.cfg.Workers > 0 {
-			cfg.Workers = s.cfg.Workers
-		}
-		s.applyCompaction(&cfg)
-		res, err := func() (res *core.TopDownResult, err error) {
-			defer recoverToPanicError(&err)
-			return core.RunTopDownContext(ctx, snap.Graph(), t, cfg)
-		}()
-		if err != nil {
-			release()
-			s.writePipelineError(w, r, q, err, req.K)
-			return
-		}
-		s.metrics.observePipeline(&res.Metrics)
-		resp = ExploreResponse{
-			FoundDist:          res.FoundDist,
-			PrototypesSearched: res.PrototypesSearched,
-			MatchingVertices:   res.MatchingVertices.Count(),
-			ElapsedMS:          time.Since(q.start).Milliseconds(),
-		}
+	res, err := func() (res *core.TopDownResult, err error) {
+		defer recoverToPanicError(&err)
+		return core.RunTopDownContext(ctx, snap.Graph(), t, s.queryConfig(req.K))
+	}()
+	if err != nil {
+		release()
+		s.writePipelineError(w, r, q, err, req.K)
+		return
+	}
+	s.metrics.observePipeline(&res.Metrics)
+	resp := ExploreResponse{
+		FoundDist:          res.FoundDist,
+		PrototypesSearched: res.PrototypesSearched,
+		MatchingVertices:   res.MatchingVertices.Count(),
+		ElapsedMS:          time.Since(q.start).Milliseconds(),
 	}
 	release()
 

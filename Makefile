@@ -43,7 +43,7 @@ fuzz-smoke:
 
 # bench runs the Go micro-benchmarks and then the kernel benchmark harness,
 # which times the core kernels sequential vs -workers, the end-to-end
-# pipeline with compaction on/off, the resource-governance overhead
+# pipeline, the resource-governance overhead
 # (budget charging and bounded-cache eviction), the distributed engine's
 # fault-tolerance overhead, the real-socket TCP rank transport's overhead
 # (in-memory FT vs loopback sockets, clean and faulted), the serving

@@ -7,7 +7,7 @@
 //
 //	amatch -graph g.txt -template t.txt -k 2 [-count] [-labels] [-topdown]
 //	       [-ranks N] [-flips] [-features out.csv [-rates]] [-matches out.tsv]
-//	       [-timeout 30s] [-compact-below 0.5]
+//	       [-timeout 30s]
 //	       [-no-symmetry] [-no-guards] [-no-relabel]
 //
 // The search honors -timeout and Ctrl-C: cancellation stops the pipeline
@@ -57,9 +57,8 @@ func main() {
 		flips        = flag.Bool("flips", false, "also search single-edge-flip variants of the template")
 		timeout      = flag.Duration("timeout", 0, "abort the search after this long (0 = no limit)")
 		workers      = flag.Int("workers", 0, "worker count for the per-vertex constraint-checking kernels (0 = sequential)")
-		compactBelow = flag.Float64("compact-below", 0.5, "compact the search state into a dense graph view when its active fraction drops below this threshold (0 disables)")
 		maxWork      = flag.Int64("max-work", 0, "abort the search after this many pipeline work units, keeping completed levels as an exact partial result (0 = no limit)")
-		maxBytes     = flag.Int64("max-bytes", 0, "bound the search's auxiliary allocations (state clones, compacted views) to this many bytes (0 = no limit)")
+		maxBytes     = flag.Int64("max-bytes", 0, "bound the search's auxiliary allocations (state clones, containment states) to this many bytes (0 = no limit)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "bound the work-recycling cache to this many bytes, evicting least-recently-used entries (0 = unbounded)")
 		sharedNLCC   = flag.Bool("shared-nlcc", true, "with multiple -template files, share one work-recycling store across them so constraint walks recycle across queries")
 		resultCache  = flag.Int64("result-cache-bytes", 64<<20, "with multiple -template files, retain up to this many bytes of results to answer isomorphic templates without re-running (0 = disabled)")
@@ -102,7 +101,6 @@ func main() {
 		opts := approxmatch.DefaultOptions(*k)
 		opts.CountMatches = *count
 		opts.Workers = *workers
-		opts.CompactBelow = *compactBelow
 		opts.Budget = approxmatch.Budget{MaxWork: *maxWork, MaxBytes: *maxBytes}
 		opts.CacheBytes = *cacheBytes
 		opts.NoSymmetry = *noSymmetry
@@ -122,7 +120,6 @@ func main() {
 	if *topdown {
 		topts := approxmatch.DefaultOptions(*k)
 		topts.Workers = *workers
-		topts.CompactBelow = *compactBelow
 		topts.NoSymmetry = *noSymmetry
 		topts.NoGuards = *noGuards
 		res, err := approxmatch.ExploreContext(ctx, g, t, topts)
@@ -141,7 +138,6 @@ func main() {
 	opts := approxmatch.DefaultOptions(*k)
 	opts.CountMatches = *count
 	opts.Workers = *workers
-	opts.CompactBelow = *compactBelow
 	opts.Budget = approxmatch.Budget{MaxWork: *maxWork, MaxBytes: *maxBytes}
 	opts.CacheBytes = *cacheBytes
 	opts.NoSymmetry = *noSymmetry
@@ -178,7 +174,6 @@ func main() {
 			CountMatches:        *count,
 			Rebalance:           true,
 			Workers:             *workers,
-			CompactBelow:        *compactBelow,
 			Budget:              approxmatch.Budget{MaxWork: *maxWork, MaxBytes: *maxBytes},
 		}
 		res, err := approxmatch.MatchDistributedContext(ctx, e, t, dopts)

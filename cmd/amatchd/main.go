@@ -14,7 +14,6 @@
 //
 //	amatchd -graph g.txt -addr :8080 [-concurrency N] [-queue N]
 //	        [-querytimeout 30s] [-maxbody 1048576] [-maxk 6]
-//	        [-compact-below 0.5]
 //	        [-max-work N] [-max-bytes N] [-cache-bytes N]
 //	        [-result-cache-bytes N] [-shared-nlcc=false]
 //	        [-partial-grace 5s] [-mem-watermark N]
@@ -109,7 +108,6 @@ func main() {
 		queryTimeout = flag.Duration("querytimeout", 30*time.Second, "per-query pipeline timeout (0 = none)")
 		maxBody      = flag.Int64("maxbody", 1<<20, "max request body bytes")
 		workers      = flag.Int("workers", 0, "per-query kernel workers (0 = scheduler-aware default, -1 = sequential)")
-		compactBelow = flag.Float64("compact-below", 0.5, "compact the search state into a dense graph view when its active fraction drops below this threshold (0 disables)")
 		maxWork      = flag.Int64("max-work", 0, "per-query pipeline work-unit budget; exhausted /match queries return an exact partial result (0 = no limit)")
 		maxBytes     = flag.Int64("max-bytes", 0, "per-query auxiliary allocation budget in bytes (0 = no limit)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "work-recycling cache cap in bytes, LRU-evicted beyond it (0 = unbounded); caps the shared store with -shared-nlcc, per-query caches otherwise")
@@ -148,12 +146,6 @@ func main() {
 	// boundary, so clients always speak the input file's ids.
 	g = graph.RelabelByDegree(g)
 
-	// server.Config treats 0 as "pipeline default" and negative as "off",
-	// so a -compact-below 0 on the command line maps to the off sentinel.
-	cb := *compactBelow
-	if cb <= 0 {
-		cb = -1
-	}
 	// Bind the listener and start serving behind a ready gate before
 	// recovery and rank dialing begin: probes and smoke scripts see a live
 	// port (503 + Retry-After on every route) instead of connection
@@ -238,7 +230,6 @@ func main() {
 		QueryTimeout:       *queryTimeout,
 		MaxBodyBytes:       *maxBody,
 		Workers:            *workers,
-		CompactBelow:       cb,
 		MaxWork:            *maxWork,
 		MaxBytes:           *maxBytes,
 		CacheBytes:         *cacheBytes,

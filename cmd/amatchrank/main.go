@@ -18,7 +18,7 @@
 //
 //	amatchrank -graph g.txt -listen 127.0.0.1:9091
 //	           [-querytimeout 30s] [-maxk 6] [-workers N]
-//	           [-compact-below 0.5] [-max-work N] [-max-bytes N]
+//	           [-max-work N] [-max-bytes N]
 //	           [-cache-bytes N] [-result-cache-bytes N]
 //	           [-shared-nlcc=false]
 //
@@ -48,7 +48,6 @@ func main() {
 		maxK         = flag.Int("maxk", 6, "largest accepted edit distance")
 		queryTimeout = flag.Duration("querytimeout", 30*time.Second, "per-query pipeline timeout (0 = none)")
 		workers      = flag.Int("workers", 0, "per-query kernel workers (0 = scheduler-aware default, -1 = sequential)")
-		compactBelow = flag.Float64("compact-below", 0.5, "compact the search state below this active fraction (0 disables)")
 		maxWork      = flag.Int64("max-work", 0, "per-query pipeline work-unit budget (0 = no limit)")
 		maxBytes     = flag.Int64("max-bytes", 0, "per-query auxiliary allocation budget in bytes (0 = no limit)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "work-recycling cache cap in bytes (0 = unbounded)")
@@ -73,14 +72,9 @@ func main() {
 	// Same load path as amatchd: the graph signature covers the relabeled
 	// structure.
 	g = graph.RelabelByDegree(g)
-	cb := *compactBelow
-	if cb <= 0 {
-		cb = -1
-	}
 	s := server.NewWithConfig(g, server.Config{
 		QueryTimeout:     *queryTimeout,
 		Workers:          *workers,
-		CompactBelow:     cb,
 		MaxWork:          *maxWork,
 		MaxBytes:         *maxBytes,
 		CacheBytes:       *cacheBytes,

@@ -1,9 +1,8 @@
 // Command kernelbench times the core constraint-checking kernels on a
 // seeded R-MAT benchmark graph, sequential versus parallel (Config.Workers),
-// plus the end-to-end δ=k…0 pipeline with search-space compaction on and
-// off, the resource-governance overhead (ungoverned vs an always-charging
-// budget tracker vs a byte-capped work-recycling cache forced to evict),
-// the distributed engine's fault-tolerance overhead (perfect
+// plus the end-to-end δ=k…0 pipeline, the resource-governance overhead
+// (ungoverned vs an always-charging budget tracker vs a byte-capped
+// work-recycling cache forced to evict), the distributed engine's fault-tolerance overhead (perfect
 // transport vs the sequence/ack/dedup path vs an injected fault schedule),
 // the real-socket rank transport's overhead (in-memory FT mailboxes vs
 // cross-rank envelopes framed over loopback TCP, clean and under injected
@@ -24,12 +23,9 @@
 // The report states the machine honestly: "cpus" and "gomaxprocs" record
 // what the kernels actually had to work with, so a speedup near 1.0 on a
 // single-core runner is expected and distinguishable from a regression.
-// The compaction section records the per-level active-fraction trajectory,
-// so a compaction speedup near 1.0 on a dense-active run (fractions near 1,
-// no level below the threshold) is likewise expected. The governance and
-// chaos sections cross-check that every mode counts identical matches —
-// governance and fault tolerance trade time, never correctness — before
-// reporting overhead.
+// The governance and chaos sections cross-check that every mode counts
+// identical matches — governance and fault tolerance trade time, never
+// correctness — before reporting overhead.
 package main
 
 import (
@@ -63,24 +59,6 @@ type phaseReport struct {
 	SequentialMS float64 `json:"sequential_ms"`
 	ParallelMS   float64 `json:"parallel_ms"`
 	Speedup      float64 `json:"speedup"`
-}
-
-type levelReport struct {
-	Dist           int     `json:"dist"`
-	Prototypes     int     `json:"prototypes"`
-	ActiveFraction float64 `json:"active_fraction"`
-	Compacted      bool    `json:"compacted"`
-}
-
-type compactionReport struct {
-	Threshold      float64       `json:"threshold"`
-	OffMS          float64       `json:"off_ms"`
-	OnMS           float64       `json:"on_ms"`
-	Speedup        float64       `json:"speedup"`
-	Compactions    int64         `json:"compactions"`
-	BytesReclaimed int64         `json:"bytes_reclaimed"`
-	MatchCount     int64         `json:"match_count"`
-	Levels         []levelReport `json:"levels"`
 }
 
 // chaosReport compares the distributed engine's transports on the same
@@ -222,7 +200,6 @@ type report struct {
 	CPUs        int               `json:"cpus"`
 	GOMAXPROCS  int               `json:"gomaxprocs"`
 	Phases      []phaseReport     `json:"phases"`
-	Compaction  compactionReport  `json:"compaction"`
 	Governance  governanceReport  `json:"governance"`
 	Chaos       chaosReport       `json:"chaos"`
 	TCP         tcpReport         `json:"tcp"`
@@ -261,7 +238,6 @@ func main() {
 	reps := flag.Int("reps", 3, "repetitions per measurement (best time kept)")
 	k := flag.Int("k", 1, "edit distance for the pipeline phase")
 	out := flag.String("out", "BENCH_PR10.json", "output JSON path")
-	compactBelow := flag.Float64("compact-below", 0.5, "compaction threshold for the compaction on/off comparison")
 	chaosRanks := flag.Int("chaos-ranks", 4, "distributed ranks for the fault-tolerance overhead comparison")
 	flag.Parse()
 
@@ -329,7 +305,6 @@ func main() {
 	}
 	fmt.Printf("pipeline match counts agree: %d\n", seqCount)
 
-	rep.Compaction = benchCompaction(g, tp, *k, *reps, *compactBelow)
 	rep.Governance = benchGovernance(g, tp, *k, *reps)
 	rep.Chaos = benchChaos(g, tp, *k, *reps, *chaosRanks)
 	rep.TCP = benchTCP(g, tp, *k, *reps, *chaosRanks)
@@ -351,61 +326,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %s\n", *out)
-}
-
-// benchCompaction times the full δ=k…0 pipeline with search-space
-// compaction off and on (best of reps each), records the per-level
-// active-fraction trajectory from the compaction-on run, and cross-checks
-// that both runs count the same matches.
-func benchCompaction(g *graph.Graph, tp *pattern.Template, k, reps int, threshold float64) compactionReport {
-	run := func(th float64) *core.Result {
-		cfg := core.DefaultConfig(k)
-		cfg.CountMatches = true
-		cfg.CompactBelow = th
-		res, err := core.Run(g, tp, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return res
-	}
-	total := func(res *core.Result) int64 {
-		var n int64
-		for _, sol := range res.Solutions {
-			n += sol.MatchCount
-		}
-		return n
-	}
-
-	var offRes, onRes *core.Result
-	off := best(reps, func() { offRes = run(0) })
-	on := best(reps, func() { onRes = run(threshold) })
-	if total(offRes) != total(onRes) {
-		log.Fatalf("compaction changed results: off counted %d matches, on %d",
-			total(offRes), total(onRes))
-	}
-
-	cr := compactionReport{
-		Threshold:      threshold,
-		OffMS:          ms(off),
-		OnMS:           ms(on),
-		Speedup:        off.Seconds() / on.Seconds(),
-		Compactions:    onRes.Metrics.Compactions,
-		BytesReclaimed: onRes.Metrics.CompactionBytesReclaimed,
-		MatchCount:     total(onRes),
-	}
-	for _, l := range onRes.Levels {
-		cr.Levels = append(cr.Levels, levelReport{
-			Dist:           l.Dist,
-			Prototypes:     l.Prototypes,
-			ActiveFraction: l.ActiveFraction,
-			Compacted:      l.Compacted,
-		})
-		fmt.Printf("  δ=%d: %d prototypes, active fraction %.3f, compacted=%v\n",
-			l.Dist, l.Prototypes, l.ActiveFraction, l.Compacted)
-	}
-	fmt.Printf("compaction (<%.2f): off %8.1fms  on %8.1fms  speedup %.2fx  views=%d  reclaimed=%dB\n",
-		threshold, cr.OffMS, cr.OnMS, cr.Speedup, cr.Compactions, cr.BytesReclaimed)
-	return cr
 }
 
 // benchGovernance times the full pipeline ungoverned, then with an active

@@ -20,8 +20,9 @@ import (
 // Charging stays off the hot path: work is charged in cancelInterval-sized
 // batches by the same amortized CancelCheck probes that poll cancellation,
 // byte charges happen only at the pipeline's few large allocation sites
-// (state clones, candidate masks, containment states, compacted views), and
-// the superstep kernels re-check the budget at each barrier merge.
+// (state clones, candidate masks, containment states, failure-guard
+// tables), and the superstep kernels re-check the budget at each barrier
+// merge.
 
 // ErrBudgetExhausted is the sentinel for budget exhaustion, the sibling of
 // the context cancellation path: errors.Is(err, ErrBudgetExhausted) reports
@@ -39,8 +40,8 @@ type Budget struct {
 	// 0 means unlimited.
 	MaxWork int64
 	// MaxBytes caps the run's cumulative auxiliary allocation: per-search
-	// state clones and candidate masks, containment states, compacted
-	// views. The background graph itself is not charged (it is shared and
+	// state clones and candidate masks, containment states, failure-guard
+	// tables. The background graph itself is not charged (it is shared and
 	// loaded once). 0 means unlimited.
 	MaxBytes int64
 	// MaxWall caps the run's wall time, measured from the first charge.
@@ -166,8 +167,8 @@ func (t *BudgetTracker) chargeBytes(n int64) error {
 }
 
 // tryChargeBytes charges n bytes only if they fit under the cap; it reports
-// whether the charge was applied. Optional allocations (compacted views) use
-// it to decline gracefully instead of aborting the run.
+// whether the charge was applied. Optional allocations (failure-guard
+// tables) use it to decline gracefully instead of aborting the run.
 func (t *BudgetTracker) tryChargeBytes(n int64) bool {
 	if t == nil || n <= 0 {
 		return true

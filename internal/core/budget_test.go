@@ -81,8 +81,7 @@ func assertPartialPrefix(t *testing.T, want, got *Result, tag string) {
 // seeded R-MAT graphs with randomized templates, a run whose work budget is a
 // fraction of the full run's work must return a Partial result whose
 // completed levels are bit-identical to the unbudgeted run — across the
-// sequential path, the superstep kernels and the prototype-parallel driver,
-// and with compaction forced on.
+// sequential path, the superstep kernels and the prototype-parallel driver.
 func TestPartialDifferentialRMAT(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	partials := 0
@@ -93,9 +92,6 @@ func TestPartialDifferentialRMAT(t *testing.T) {
 		tp := randomDecoratedTemplate(rng, g)
 		cfg := DefaultConfig(1 + trial%2)
 		cfg.CountMatches = true
-		if trial%2 == 0 {
-			cfg.CompactBelow = 1.1 // always below threshold: force compaction
-		}
 
 		variants := []struct {
 			tag string
@@ -258,8 +254,7 @@ func TestBudgetTrackerDims(t *testing.T) {
 // shared-cache hits cannot depend on interleaving — neither may the work.
 // Workers 0 is the Gauss-Seidel reference schedule, which legitimately does
 // different work, so it joins the bytes axis only. Parallelism 1 goes
-// through RunContext, so Run and RunParallel are held to one ledger; every
-// other trial forces compaction so compacted views are charged too.
+// through RunContext, so Run and RunParallel are held to one ledger.
 func TestAccountingScheduleIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 6; trial++ {
@@ -271,9 +266,6 @@ func TestAccountingScheduleIndependent(t *testing.T) {
 			cfg := DefaultConfig(2)
 			cfg.CountMatches = true
 			cfg.WorkRecycling = recycle
-			if trial%2 == 0 {
-				cfg.CompactBelow = 1.1 // always below threshold: force compaction
-			}
 			var wantBytes, wantWork int64 = -1, -1
 			for _, parallelism := range []int{1, 2, 4} {
 				for _, workers := range []int{0, 1, 2, 4} {
@@ -305,6 +297,43 @@ func TestAccountingScheduleIndependent(t *testing.T) {
 						t.Errorf("%s: %d work units charged, want %d", tag, got, wantWork)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestTopDownChargesLikeBottomUp pins the top-down mode's work ledger: at
+// k = 0 both modes run the candidate set plus one search of the template,
+// so RunTopDownContext must charge exactly the work units RunContext does —
+// including the tail of ticks its last level leaves on the probe.
+func TestTopDownChargesLikeBottomUp(t *testing.T) {
+	rng := rand.New(rand.NewSource(4343))
+	for trial := 0; trial < 12; trial++ {
+		p := rmat.Graph500(7, int64(6000+trial))
+		p.EdgeFactor = 4
+		g := rmat.Generate(p)
+		tp := randomDecoratedTemplate(rng, g)
+		for _, workers := range []int{0, 1, 2} {
+			cfg := DefaultConfig(0)
+			cfg.Workers = workers
+			work := func(run func(ctx context.Context) error) int64 {
+				tracker := NewBudgetTracker(Budget{MaxWork: 1 << 62})
+				if err := run(WithBudgetTracker(context.Background(), tracker)); err != nil {
+					t.Fatal(err)
+				}
+				return tracker.WorkUsed()
+			}
+			bottomUp := work(func(ctx context.Context) error {
+				_, err := RunContext(ctx, g, tp, cfg)
+				return err
+			})
+			topDown := work(func(ctx context.Context) error {
+				_, err := RunTopDownContext(ctx, g, tp, cfg)
+				return err
+			})
+			if topDown != bottomUp {
+				t.Errorf("trial %d workers=%d: top-down charged %d work units, bottom-up %d",
+					trial, workers, topDown, bottomUp)
 			}
 		}
 	}

@@ -106,8 +106,8 @@ func (c *CancelCheck) ChargeBytes(n int64) {
 
 // TryChargeBytes attempts to charge an *optional* allocation of n bytes and
 // reports whether it fits under the budget. Callers that can proceed without
-// the allocation (compacted views are an optimization, not a requirement)
-// use it to decline gracefully instead of aborting.
+// the allocation (failure-guard tables are an optimization, not a
+// requirement) use it to decline gracefully instead of aborting.
 func (c *CancelCheck) TryChargeBytes(n int64) bool {
 	if c == nil || c.tracker == nil {
 		return true

@@ -91,11 +91,5 @@ func searchTemplateOn(level *State, t *pattern.Template, prof *localProfile, wal
 	if count {
 		sol.MatchCount = countMatches(s, omega, t, cc, m, opts)
 	}
-	// A compacted search produced view-local ids; emit original ids so the
-	// public results are independent of whether compaction fired. Matches
-	// biject between the spaces, so the count needs no adjustment.
-	if vw := s.view; vw != nil {
-		translateSolution(sol, vw)
-	}
 	return sol
 }

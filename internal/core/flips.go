@@ -71,10 +71,6 @@ func matchFlips(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Config
 		cc.Check()
 		var m Metrics
 		s := maxCandidateSet(g, tpl, cfg.Restrict, pool, cc, &m)
-		// Each flip variant has its own candidate set; compact it when the
-		// label classes are selective enough. Cache keys stay in original-id
-		// space, so recycling still crosses flips.
-		s = CompactStateBudgeted(s, cfg.CompactBelow, &m, cc)
 		var freq map[pattern.Label]int64
 		if cfg.FrequencyOrdering {
 			freq = g.LabelFrequencies()

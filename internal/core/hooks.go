@@ -57,21 +57,15 @@ func FinalizeExact(ctx context.Context, s *State, t *pattern.Template, workers i
 	return edges
 }
 
-// FinalizeSolution runs FinalizeExact on s (mutating it), captures the
-// surviving vertices and, when count is set, the match count, and — when s
-// is a compacted view state — translates the solution back to original ids.
-// It packages the distributed engine's gather-and-finalize step so callers
-// can compact the gathered state first (CompactState) without handling the
-// id translation themselves.
+// FinalizeSolution runs FinalizeExact on s (mutating it) and captures the
+// surviving vertices and, when count is set, the match count. It packages
+// the distributed engine's gather-and-finalize step.
 func FinalizeSolution(ctx context.Context, s *State, t *pattern.Template, workers int, count bool, m *Metrics) *Solution {
 	sol := &Solution{Proto: -1, MatchCount: -1}
 	sol.Edges = FinalizeExact(ctx, s, t, workers, m)
 	sol.Verts = s.VertexBits().Clone()
 	if count {
 		sol.MatchCount = CountOn(ctx, s, t, m)
-	}
-	if vw := s.view; vw != nil {
-		translateSolution(sol, vw)
 	}
 	return sol
 }

@@ -76,7 +76,7 @@ func RunIncremental(prev *Result, newG *graph.Graph, changed []graph.VertexID, c
 // to; cfg.Restrict must be nil (the incremental path owns it). The merged
 // Result carries no Candidate state (it is a per-run pruning artifact, not
 // part of the maintained output), its Levels keep the semantic fields only
-// (timings and compaction flags describe the restricted runs, not a full
+// (timings and active fractions describe the restricted runs, not a full
 // run) and its Metrics sum the two restricted runs. There is no
 // anytime-partial contract here: a budget or cancellation abort in either
 // restricted run fails the whole call with no merged result.
@@ -267,7 +267,7 @@ func mergeIncremental(prev, oldR, newR *Result, newG *graph.Graph, A *bitvec.Vec
 
 	// Rebuild the per-level stats' semantic fields from the merged
 	// solutions, mirroring commitLevel's accounting; the run-shape fields
-	// (Duration, ActiveFraction, Compacted) stay zero — they would describe
+	// (Duration, ActiveFraction) stay zero — they would describe
 	// the restricted runs, not a full run.
 	for dist := set.MaxDist; dist >= 0; dist-- {
 		unionVerts := bitvec.New(n)

@@ -87,14 +87,14 @@ func assertIncrementalEqual(t *testing.T, tag string, got, want *Result) {
 // TestIncrementalDifferential is the randomized differential suite for the
 // incremental maintenance path: over streams of insert/delete/relabel
 // batches, the incrementally maintained result must stay bit-identical to a
-// from-scratch run on the mutated graph — across worker counts, forced
-// compaction and edge-labeled graphs. Each step chains off the previous
+// from-scratch run on the mutated graph — across worker counts, two seeded
+// batch streams each, and edge-labeled graphs. Each step chains off the previous
 // incremental result, so drift would compound and get caught.
 func TestIncrementalDifferential(t *testing.T) {
 	for _, workers := range []int{0, 1, 3} {
-		for _, compact := range []float64{0, 1.0} {
-			t.Run(fmt.Sprintf("workers=%d/compact=%v", workers, compact), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(4200 + workers*10 + int(compact))))
+		for _, stream := range []int{0, 1} {
+			t.Run(fmt.Sprintf("workers=%d/stream=%d", workers, stream), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(4200 + workers*10 + stream)))
 				for round := 0; round < 3; round++ {
 					edgeLabeled := round%2 == 1
 					var g *graph.Graph
@@ -110,7 +110,6 @@ func TestIncrementalDifferential(t *testing.T) {
 					cfg := DefaultConfig(1 + rng.Intn(2))
 					cfg.CountMatches = true
 					cfg.Workers = workers
-					cfg.CompactBelow = compact
 
 					prev, err := Run(g, tpl, cfg)
 					if err != nil {

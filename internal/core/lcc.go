@@ -72,12 +72,7 @@ func lcc(s *State, omega candidateSet, prof *localProfile, pool *Pool, cc *Cance
 		// pair (q ∈ ω(v), q' ∈ ω(u)) is a template edge.
 		s.ForEachActiveVertex(func(v graph.VertexID) {
 			cc.Tick()
-			ns := s.g.Neighbors(v)
-			base := int(s.g.AdjOffset(v))
-			for i, u := range ns {
-				if !s.edges.Get(base+i) || !s.verts.Get(int(u)) {
-					continue
-				}
+			s.ForEachActiveNeighbor(v, func(i int, u graph.VertexID) {
 				// Each examined active edge slot is one edge-phase message
 				// (one "visitor" per directed slot), mirroring the vertex
 				// phase's per-visitor accounting.
@@ -86,7 +81,7 @@ func lcc(s *State, omega candidateSet, prof *localProfile, pool *Pool, cc *Cance
 					s.DeactivateEdgeAt(v, i)
 					changed = true
 				}
-			}
+			})
 		})
 		if changed {
 			eliminatedAny = true

@@ -50,26 +50,10 @@ type Metrics struct {
 	// PrototypesSearched counts SEARCH_PROTOTYPE invocations.
 	PrototypesSearched int64
 
-	// CompactionChecks counts CompactState threshold evaluations (one per
-	// level or gathered state with compaction enabled).
-	CompactionChecks int64
-	// Compactions counts compacted views actually built.
+	// Compactions is always 0: the search space is pruned only logically,
+	// by the containment rule, never copied into a compacted graph. The
+	// field stays because perfbench's trace still reports it.
 	Compactions int64
-	// CompactionsDeclined counts compactions skipped because the view would
-	// not fit under the run's byte budget (the search proceeds on the
-	// uncompacted state — slower, never wrong).
-	CompactionsDeclined int64
-	// CompactionBytesReclaimed sums, over compactions, the working-set bytes
-	// the kernels no longer touch (original CSR topology plus state bitvecs,
-	// minus the view's).
-	CompactionBytesReclaimed int64
-	// CompactionFracBefore sums the active fraction observed at each
-	// compaction check; CompactionFracAfter sums the fraction of the
-	// structure actually searched afterwards (1.0 once compacted, the
-	// before-value when the check declined). Divide by CompactionChecks for
-	// averages.
-	CompactionFracBefore float64
-	CompactionFracAfter  float64
 
 	// Fault-plane counters (distributed runtime only; zero on the
 	// sequential path). FaultDrops/FaultDups/FaultReorders/FaultDelays
@@ -137,12 +121,6 @@ func (m *Metrics) Add(other *Metrics) {
 	m.GuardHits += other.GuardHits
 	m.GuardsSet += other.GuardsSet
 	m.PrototypesSearched += other.PrototypesSearched
-	m.CompactionChecks += other.CompactionChecks
-	m.Compactions += other.Compactions
-	m.CompactionsDeclined += other.CompactionsDeclined
-	m.CompactionBytesReclaimed += other.CompactionBytesReclaimed
-	m.CompactionFracBefore += other.CompactionFracBefore
-	m.CompactionFracAfter += other.CompactionFracAfter
 	m.FaultDrops += other.FaultDrops
 	m.FaultDups += other.FaultDups
 	m.FaultReorders += other.FaultReorders
@@ -191,10 +169,8 @@ type LevelStats struct {
 	// Duration is the wall time spent searching this level.
 	Duration time.Duration
 	// ActiveFraction is the level state's active fraction (vertices plus
-	// directed slots over the original graph) before any compaction.
+	// directed slots over the graph).
 	ActiveFraction float64
-	// Compacted reports whether this level searched a compacted view.
-	Compacted bool
 	// Complete reports whether the level finished. On a full run every
 	// level is complete; on a Partial run (budget exhaustion) the completed
 	// levels' prototype columns are exact — bit-identical to an unbudgeted

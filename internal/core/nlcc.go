@@ -178,17 +178,14 @@ func nlcc(s *State, omega candidateSet, t *pattern.Template, w *constraint.Walk,
 		if !omega.has(v, q0) {
 			return
 		}
-		// Cache keys live in original-id space: recycled verdicts must be
-		// shareable across levels and prototypes regardless of whether a
-		// given search ran compacted.
-		if cache != nil && cache.Satisfied(w.ID, s.origID(v)) {
+		if cache != nil && cache.Satisfied(w.ID, v) {
 			m.CacheHits++
 			return
 		}
 		m.TokensInitiated++
 		if walkFrom(s, omega, t, w, v, cc, m) {
 			if cache != nil {
-				cache.Record(w.ID, s.origID(v))
+				cache.Record(w.ID, v)
 			}
 			return
 		}

@@ -125,10 +125,7 @@ func (e *engine) runLevelParallel(res *Result, level *State, dist int, cc *Cance
 	cc.Check()
 	set := res.Set
 	start := time.Now()
-	// Compact on the coordinator goroutine, before the level's searches
-	// launch: the view and the engine metrics are not synchronized.
 	frac := ActiveFraction(level)
-	searchLevel := e.compact(level)
 	ids := set.At(dist)
 	sols := make([]*Solution, len(ids))
 	metrics := make([]Metrics, len(ids))
@@ -173,7 +170,7 @@ func (e *engine) runLevelParallel(res *Result, level *State, dist int, cc *Cance
 			// the previous level: a (rare) childless prototype — every
 			// legal removal disconnects it — must be searched on the full
 			// candidate set.
-			searchState := searchLevel
+			searchState := level
 			if dist < set.MaxDist && len(set.Protos[pi].Children) == 0 {
 				searchState = res.Candidate
 			}
@@ -199,5 +196,5 @@ func (e *engine) runLevelParallel(res *Result, level *State, dist int, cc *Cance
 		}
 		return nil, abortErr
 	}
-	return e.commitLevel(res, sols, dist, frac, searchLevel.View() != nil, start, cc), nil
+	return e.commitLevel(res, sols, dist, frac, start, cc), nil
 }

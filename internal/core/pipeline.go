@@ -35,13 +35,6 @@ type Config struct {
 	// counters are deterministic per value and identical across all
 	// Workers >= 1.
 	Workers int
-	// CompactBelow triggers physical search-space reduction: when a level
-	// state's active fraction (vertices plus directed slots) drops below
-	// this threshold, the engine extracts a compacted graph.View and
-	// searches that instead (see CompactState). 0 disables compaction — the
-	// ablation path with today's exact behavior. Results are identical
-	// either way.
-	CompactBelow float64
 	// Budget bounds the run's work, auxiliary memory and wall time; the
 	// zero value is unlimited. On exhaustion the bottom-up pipeline stops
 	// between edit-distance levels and returns a Partial result alongside an
@@ -92,7 +85,6 @@ func DefaultConfig(k int) Config {
 		WorkRecycling:       true,
 		FrequencyOrdering:   true,
 		LabelPairRefinement: true,
-		CompactBelow:        0.5,
 	}
 }
 
@@ -170,7 +162,7 @@ type engine struct {
 	metrics Metrics
 	// cc is the run's cancellation probe (nil when the run's context can
 	// never fire). It serves the coordinator goroutine — candidate set,
-	// compaction, containment states — and the top-down searches; each
+	// containment states — and the top-down searches; each
 	// bottom-up prototype search Forks its own.
 	cc *CancelCheck
 	// walks caches, per prototype index, the oriented/ordered pruning
@@ -248,13 +240,8 @@ func (e *engine) searchPrototype(level *State, pi int, cc *CancelCheck, m *Metri
 func cleanEdges(s *State) *bitvec.Vector {
 	out := bitvec.New(s.g.NumDirectedEdges())
 	s.ForEachActiveVertex(func(v graph.VertexID) {
-		ns := s.g.Neighbors(v)
 		base := int(s.g.AdjOffset(v))
-		for i, u := range ns {
-			if s.edges.Get(base+i) && s.verts.Get(int(u)) {
-				out.Set(base + i)
-			}
-		}
+		s.ForEachActiveNeighbor(v, func(i int, _ graph.VertexID) { out.Set(base + i) })
 	})
 	return out
 }
@@ -287,7 +274,7 @@ func RunContext(ctx context.Context, g *graph.Graph, t *pattern.Template, cfg Co
 
 // commitLevel publishes a completed level's solutions and stats into res and
 // builds the next level's containment state (nil at δ=0).
-func (e *engine) commitLevel(res *Result, sols []*Solution, dist int, frac float64, compacted bool, start time.Time, cc *CancelCheck) *State {
+func (e *engine) commitLevel(res *Result, sols []*Solution, dist int, frac float64, start time.Time, cc *CancelCheck) *State {
 	unionVerts := bitvec.New(res.Graph.NumVertices())
 	unionEdges := bitvec.New(res.Graph.NumDirectedEdges())
 	var labels int64
@@ -307,7 +294,6 @@ func (e *engine) commitLevel(res *Result, sols []*Solution, dist int, frac float
 		LabelsGenerated: labels,
 		Duration:        time.Since(start),
 		ActiveFraction:  frac,
-		Compacted:       compacted,
 		Complete:        true,
 	})
 	if dist > 0 {

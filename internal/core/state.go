@@ -24,10 +24,9 @@ type State struct {
 	g     *graph.Graph
 	verts *bitvec.Vector
 	edges *bitvec.Vector // indexed by directed adjacency slot
-	// view, when non-nil, records that g is a compacted view of a larger
-	// graph (see CompactState): vertex and slot ids are view-local and must
-	// be translated through the view before leaving the search.
-	view *graph.View
+	// bounds caches the superstep partition of the state's first parallel
+	// kernel call (see newSuperstep); clones start without one.
+	bounds []int
 }
 
 // NewFullState returns a state with every vertex and edge active.
@@ -73,28 +72,13 @@ func NewEmptyState(g *graph.Graph) *State {
 	}
 }
 
-// Clone returns an independent copy of the state. The view, when present,
-// is immutable and shared.
+// Clone returns an independent copy of the state.
 func (s *State) Clone() *State {
-	return &State{g: s.g, verts: s.verts.Clone(), edges: s.edges.Clone(), view: s.view}
+	return &State{g: s.g, verts: s.verts.Clone(), edges: s.edges.Clone()}
 }
 
 // Graph returns the underlying background graph.
 func (s *State) Graph() *graph.Graph { return s.g }
-
-// View returns the compacted view this state runs on, or nil when the state
-// addresses the original graph directly.
-func (s *State) View() *graph.View { return s.view }
-
-// origID translates a (possibly view-local) vertex id to the original
-// graph's id space — the id space of the work-recycling cache and of every
-// emitted result.
-func (s *State) origID(v graph.VertexID) graph.VertexID {
-	if s.view == nil {
-		return v
-	}
-	return s.view.OrigVertex(v)
-}
 
 // VertexActive reports whether v is active.
 func (s *State) VertexActive(v graph.VertexID) bool { return s.verts.Get(int(v)) }
@@ -195,6 +179,17 @@ func (s *State) VertexBits() *bitvec.Vector { return s.verts }
 // EdgeBits exposes the active-edge bit vector, under the same contract as
 // VertexBits.
 func (s *State) EdgeBits() *bitvec.Vector { return s.edges }
+
+// ActiveFraction returns the fraction of s's graph (vertices plus directed
+// edge slots) that is still active — the per-level trajectory reported in
+// LevelStats.
+func ActiveFraction(s *State) float64 {
+	total := s.g.NumVertices() + s.g.NumDirectedEdges()
+	if total == 0 {
+		return 1
+	}
+	return float64(s.verts.Count()+s.edges.Count()) / float64(total)
+}
 
 // StateBytes returns the memory footprint of the state's bit vectors, for
 // the Fig. 11 memory accounting.

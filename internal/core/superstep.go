@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"approxmatch/internal/bitvec"
 	"approxmatch/internal/constraint"
 	"approxmatch/internal/graph"
@@ -47,8 +45,8 @@ type partDelta struct {
 }
 
 // superstep coordinates the parallel rounds of one kernel call: fixed
-// vertex partitions (edge-balanced by CSR offset), one delta buffer and one
-// forked cancellation probe per partition.
+// vertex partitions (balanced on active directed slots), one delta buffer
+// and one forked cancellation probe per partition.
 type superstep struct {
 	pool  *Pool
 	s     *State
@@ -71,26 +69,42 @@ func newSuperstep(pool *Pool, s *State, omega candidateSet, cc *CancelCheck) *su
 	for i := range ss.parts {
 		ss.parts[i] = &partDelta{cc: cc.Fork()}
 	}
-	ss.bounds = partitionBounds(s.g, w)
+	// Balance once per state, not per kernel call: a search's state only
+	// shrinks from the level state it was cloned from, so the first cut
+	// stays close to balanced, and no result or counter depends on it.
+	if len(s.bounds) != w+1 {
+		s.bounds = partitionBounds(s, w)
+	}
+	ss.bounds = s.bounds
 	return ss
 }
 
 // partitionBounds splits the vertex ID space into parts contiguous ranges
-// of roughly equal directed-slot (adjacency) volume, so skewed degree
-// distributions don't serialize a superstep behind one overloaded worker.
-func partitionBounds(g *graph.Graph, parts int) []int {
-	n := g.NumVertices()
-	total := int64(g.NumDirectedEdges())
+// holding roughly equal numbers of s's active directed slots, so neither a
+// skewed degree distribution nor a pruned state (whose live region may sit
+// in a small corner of the ID space) serializes a superstep behind one
+// overloaded worker. Inactive vertices hold no active slots, so one pass
+// over the active vertices sees every slot.
+func partitionBounds(s *State, parts int) []int {
+	n := s.g.NumVertices()
 	bounds := make([]int, parts+1)
-	for i := 1; i < parts; i++ {
-		target := total * int64(i) / int64(parts)
-		lo := sort.Search(n, func(v int) bool { return g.AdjOffset(graph.VertexID(v)) >= target })
-		if lo < bounds[i-1] {
-			lo = bounds[i-1]
-		}
-		bounds[i] = lo
+	for i := 1; i <= parts; i++ {
+		bounds[i] = n
 	}
-	bounds[parts] = n
+	if parts == 1 {
+		return bounds
+	}
+	total := int64(s.edges.Count())
+	var seen int64
+	next := 1
+	s.ForEachActiveVertex(func(v graph.VertexID) {
+		for next < parts && seen >= total*int64(next)/int64(parts) {
+			bounds[next] = int(v)
+			next++
+		}
+		lo := int(s.g.AdjOffset(v))
+		seen += int64(s.edges.CountInRange(lo, lo+s.g.Degree(v)))
+	})
 	return bounds
 }
 
@@ -258,18 +272,13 @@ func lccPar(s *State, omega candidateSet, prof *localProfile, pool *Pool, cc *Ca
 		ss.run(func(d *partDelta, lo, hi int) {
 			s.forEachActiveVertexIn(lo, hi, func(v graph.VertexID) {
 				d.cc.Tick()
-				ns := s.g.Neighbors(v)
-				base := int(s.g.AdjOffset(v))
-				for i, u := range ns {
-					if !s.edges.Get(base+i) || !s.verts.Get(int(u)) {
-						continue
-					}
+				s.ForEachActiveNeighbor(v, func(i int, u graph.VertexID) {
 					d.m.LCCMessages++
 					if !edgeSupported(omega, prof, v, u) {
 						d.deferEdgeAt(s, v, i)
 						d.changed = true
 					}
-				}
+				})
 			})
 		})
 		if ss.merge(m) {
@@ -296,14 +305,14 @@ func nlccPar(s *State, omega candidateSet, t *pattern.Template, w *constraint.Wa
 			if !omega.has(v, q0) {
 				return
 			}
-			if cache != nil && cache.Satisfied(w.ID, s.origID(v)) {
+			if cache != nil && cache.Satisfied(w.ID, v) {
 				d.m.CacheHits++
 				return
 			}
 			d.m.TokensInitiated++
 			if walkFrom(s, omega, t, w, v, d.cc, &d.m) {
 				if cache != nil {
-					cache.Record(w.ID, s.origID(v))
+					cache.Record(w.ID, v)
 				}
 				return
 			}

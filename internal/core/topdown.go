@@ -81,10 +81,7 @@ func runTopDown(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Config
 		Solutions:        make([]*Solution, set.Count()),
 	}
 	candidate := maxCandidateSet(g, t, e.cfg.Restrict, e.pool, cc, &e.metrics)
-	// Top-down searches every level on the candidate set, so one compaction
-	// pays off across all of them.
 	frac := ActiveFraction(candidate)
-	searchCand := e.compact(candidate)
 
 	for dist := 0; dist <= set.MaxDist; dist++ {
 		cc.Check()
@@ -93,7 +90,7 @@ func runTopDown(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Config
 		var labels int64
 		levelVerts := bitvec.New(g.NumVertices())
 		for _, pi := range set.At(dist) {
-			sol := e.searchPrototype(searchCand, pi, cc, &e.metrics)
+			sol := e.searchPrototype(candidate, pi, cc, &e.metrics)
 			res.PrototypesSearched++
 			res.Solutions[pi] = sol
 			if sol.Verts.Any() {
@@ -109,7 +106,6 @@ func runTopDown(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Config
 			LabelsGenerated: labels,
 			Duration:        time.Since(start),
 			ActiveFraction:  frac,
-			Compacted:       searchCand.View() != nil,
 			Complete:        true,
 		})
 		if found {
@@ -118,6 +114,9 @@ func runTopDown(cc *CancelCheck, g *graph.Graph, t *pattern.Template, cfg Config
 			break
 		}
 	}
+	// Charge the tail of the last level's amortized ticks: the level-start
+	// checks above never see it.
+	cc.Check()
 	res.Metrics = e.metrics
 	return res, nil
 }

@@ -428,14 +428,10 @@ func verifyExact(s *State, omega candidateSet, t *pattern.Template, cc *CancelCh
 	// applies here.
 	s.ForEachActiveVertex(func(v graph.VertexID) {
 		cc.Tick()
-		ns := g.Neighbors(v)
 		base := int(g.AdjOffset(v))
-		for i, u := range ns {
-			if !s.edges.Get(base+i) || !s.verts.Get(int(u)) || v > u {
-				continue
-			}
-			if emark.Get(base + i) {
-				continue
+		s.ForEachActiveNeighbor(v, func(i int, u graph.VertexID) {
+			if v > u || emark.Get(base+i) {
+				return
 			}
 			participates := false
 			for _, te := range t.Edges() {
@@ -459,7 +455,7 @@ func verifyExact(s *State, omega candidateSet, t *pattern.Template, cc *CancelCh
 			if !participates {
 				s.DeactivateEdgeAt(v, i)
 			}
-		}
+		})
 	})
 	return emark
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -142,23 +143,68 @@ func TestWorkersDifferentialEdgeLabels(t *testing.T) {
 
 // TestWorkersRunParallelMatchesRun crosses both parallelism layers:
 // concurrent prototype searches sharing one kernel pool must still match
-// the fully sequential run.
+// the fully sequential run. The other entry points, RunTopDown and
+// MatchFlips, must likewise agree with their sequential runs for every
+// worker count.
 func TestWorkersRunParallelMatchesRun(t *testing.T) {
-	rng := rand.New(rand.NewSource(1703))
-	g := randomGraph(rng, 40, 110, 3)
-	tp := randomTemplate(rng, 4, 3)
-	cfg := DefaultConfig(2)
-	cfg.CountMatches = true
-	want, err := Run(g, tp, cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, in := range []struct {
+		seed         int64
+		verts, edges int
+	}{{1703, 40, 110}, {2026, 50, 140}} {
+		rng := rand.New(rand.NewSource(in.seed))
+		g := randomGraph(rng, in.verts, in.edges, 3)
+		tp := randomTemplate(rng, 4, 3)
+		cfg := DefaultConfig(2)
+		cfg.CountMatches = true
+		want, err := Run(g, tp, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantTD, err := RunTopDown(g, tp, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantFl, err := MatchFlips(g, tp, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{0, 1, 3} {
+			tag := fmt.Sprintf("seed %d workers=%d", in.seed, workers)
+			wcfg := cfg
+			wcfg.Workers = workers
+			got, err := RunParallel(g, tp, wcfg, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResult(t, want, got, tag)
+
+			gotTD, err := RunTopDown(g, tp, wcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotTD.FoundDist != wantTD.FoundDist ||
+				!gotTD.MatchingVertices.Equal(wantTD.MatchingVertices) {
+				t.Errorf("%s: top-down found %d, want %d (or matching vertices differ)",
+					tag, gotTD.FoundDist, wantTD.FoundDist)
+			}
+
+			gotFl, err := MatchFlips(g, tp, wcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !gotFl.Base.Verts.Equal(wantFl.Base.Verts) || !gotFl.Base.Edges.Equal(wantFl.Base.Edges) {
+				t.Errorf("%s: flips base solution differs", tag)
+			}
+			if gotFl.TotalMatchCount() != wantFl.TotalMatchCount() {
+				t.Errorf("%s: flips count %d, want %d", tag, gotFl.TotalMatchCount(), wantFl.TotalMatchCount())
+			}
+			for i := range wantFl.Solutions {
+				if !gotFl.Solutions[i].Verts.Equal(wantFl.Solutions[i].Verts) {
+					t.Errorf("%s: flip %d vertex bits differ", tag, i)
+				}
+			}
+		}
 	}
-	cfg.Workers = 3
-	got, err := RunParallel(g, tp, cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, want, got, tp.String())
 }
 
 // counterVector extracts the schedule-sensitive work counters (durations
@@ -256,6 +302,68 @@ func TestSlotSymmetryAfterKernels(t *testing.T) {
 			assertSlotSymmetry(t, s, "verifyExact")
 			pool.Close()
 		}
+	}
+}
+
+// skewedGraph builds a graph whose low-id part is a dense high-degree
+// community and whose high-id part is a sparse ring: nearly all of the
+// CSR's directed slots belong to the dense region.
+func skewedGraph(t *testing.T, dense, sparse int) *graph.Graph {
+	b := graph.NewBuilder(0)
+	for v := 0; v < dense; v++ {
+		b.AddVertex(0)
+	}
+	for v := 0; v < sparse; v++ {
+		b.AddVertex(1)
+	}
+	for u := 0; u < dense; u++ {
+		for v := u + 1; v < dense; v++ {
+			b.AddEdge(graph.VertexID(u), graph.VertexID(v))
+		}
+	}
+	for i := 0; i < sparse; i++ {
+		u := graph.VertexID(dense + i)
+		v := graph.VertexID(dense + (i+1)%sparse)
+		if u != v {
+			b.AddEdge(u, v)
+		}
+	}
+	g := b.Build()
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestPartitionBoundsBalanceActiveSlots is the partition-skew regression
+// test: once the dense region is pruned away, balancing over the CSR
+// offsets would cram the whole active ring into one partition. Balancing
+// on active slots must give every partition a fair share.
+func TestPartitionBoundsBalanceActiveSlots(t *testing.T) {
+	const dense, sparse, parts = 64, 256, 4
+	g := skewedGraph(t, dense, sparse)
+	s := NewFullState(g)
+	for v := 0; v < dense; v++ {
+		s.DeactivateVertex(graph.VertexID(v))
+	}
+	bounds := partitionBounds(s, parts)
+	if bounds[0] != 0 || bounds[parts] != g.NumVertices() {
+		t.Fatalf("bounds %v do not cover [0, %d)", bounds, g.NumVertices())
+	}
+	mean := s.NumActiveDirectedEdges() / parts
+	for i := 0; i < parts; i++ {
+		lo := int(g.AdjOffset(graph.VertexID(bounds[i])))
+		end := g.NumDirectedEdges()
+		if bounds[i+1] < g.NumVertices() {
+			end = int(g.AdjOffset(graph.VertexID(bounds[i+1])))
+		}
+		if c := s.EdgeBits().CountInRange(lo, end); c > 2*mean {
+			t.Errorf("partition %d holds %d active slots, want at most %d (bounds %v)",
+				i, c, 2*mean, bounds)
+		}
+	}
+	if got := partitionBounds(s, 1); len(got) != 2 || got[0] != 0 || got[1] != g.NumVertices() {
+		t.Errorf("one partition: bounds %v, want [0 %d]", got, g.NumVertices())
 	}
 }
 

@@ -53,21 +53,9 @@ func (s *distState) traverse(phase string, init func(seed func(graph.VertexID, a
 	s.e.traverseH(phase, s.hooks, init, visit)
 }
 
-// fromCoreState seeds the distributed state from a sequential State. A
-// compacted view state is expanded back to original ids: the distributed
-// runtime's per-vertex arrays are sized by the engine's graph, and rank
-// ownership is keyed by original vertex id.
+// fromCoreState seeds the distributed state from a sequential State.
 func fromCoreState(e *Engine, cs *core.State) *distState {
 	s := newDistState(e)
-	if vw := cs.View(); vw != nil {
-		cs.VertexBits().ForEach(func(v int) {
-			s.active[vw.OrigVertex(graph.VertexID(v))] = true
-		})
-		cs.EdgeBits().ForEach(func(slot int) {
-			s.edgeOn[vw.OrigSlot(slot)] = true
-		})
-		return s
-	}
 	cs.VertexBits().ForEach(func(v int) { s.active[v] = true })
 	cs.EdgeBits().ForEach(func(slot int) { s.edgeOn[slot] = true })
 	return s

@@ -26,33 +26,6 @@ func BalancedOwners(active *bitvec.Vector, ranks int) []int32 {
 	return owner
 }
 
-// BalancedOwnersView is BalancedOwners driven by a compacted view: the
-// active vertices are exactly the view's kept vertices, already enumerated
-// in increasing original id, so the assignment walks the compacted list
-// instead of scanning the full bit vector. The result is identical to
-// BalancedOwners over the view's original active set — the paper's per-level
-// rebalancing made cheap by compaction.
-func BalancedOwnersView(vw *graph.View, ranks int) []int32 {
-	owner := make([]int32, vw.Orig().NumVertices())
-	for v := range owner {
-		owner[v] = int32(hashVertex(graph.VertexID(v)) % uint32(ranks))
-	}
-	next := int32(0)
-	for _, ov := range vw.OrigVertices() {
-		owner[ov] = next
-		next = (next + 1) % int32(ranks)
-	}
-	return owner
-}
-
-// balancedOwnersFor dispatches on whether the level state was compacted.
-func balancedOwnersFor(s *core.State, ranks int) []int32 {
-	if vw := s.View(); vw != nil {
-		return BalancedOwnersView(vw, ranks)
-	}
-	return BalancedOwners(s.VertexBits(), ranks)
-}
-
 // LoadImbalance summarizes compute distribution: the ratio of the maximum
 // per-rank visitor count to the mean (1.0 = perfectly balanced).
 func LoadImbalance(e *Engine) float64 {

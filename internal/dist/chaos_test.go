@@ -24,9 +24,8 @@ func chaosOpts() Options {
 
 // stripVolatile zeroes the Metrics fields that legitimately differ between
 // a fault-free and a faulted run — wall times and the fault-plane counters
-// themselves. Everything else (messages, tokens, iterations, searches,
-// compaction work) must be bit-identical: recovery replays the same
-// logical computation.
+// themselves. Everything else (messages, tokens, iterations, searches) must
+// be bit-identical: recovery replays the same logical computation.
 func stripVolatile(m core.Metrics) core.Metrics {
 	m.CandidateTime, m.LCCTime, m.NLCCTime, m.VerifyTime = 0, 0, 0, 0
 	m.FaultDrops, m.FaultDups, m.FaultReorders, m.FaultDelays = 0, 0, 0, 0

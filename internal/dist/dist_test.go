@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -138,42 +139,62 @@ func TestLocalityAccounting(t *testing.T) {
 	}
 }
 
+// TestDistPipelineMatchesSequential checks the distributed pipeline against
+// the sequential engine on random graphs. The seed-47 stream draws k from
+// {1,2} and three rank counts per trial, in the same order as the retired
+// compaction differential, so its graphs, templates and rank counts stay
+// covered.
 func TestDistPipelineMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 10; trial++ {
-		g := randomGraph(rng, 30+rng.Intn(30), 90+rng.Intn(60), 3)
-		tp := randomTemplate(rng, 4, 3)
-		k := rng.Intn(3)
+	streams := []struct {
+		seed          int64
+		trials        int
+		minK, spanK   int
+		enginesPerRun int
+	}{
+		{seed: 41, trials: 10, minK: 0, spanK: 3, enginesPerRun: 1},
+		{seed: 47, trials: 6, minK: 1, spanK: 2, enginesPerRun: 3},
+	}
+	for _, st := range streams {
+		rng := rand.New(rand.NewSource(st.seed))
+		for trial := 0; trial < st.trials; trial++ {
+			g := randomGraph(rng, 30+rng.Intn(30), 90+rng.Intn(60), 3)
+			tp := randomTemplate(rng, 4, 3)
+			k := st.minK + rng.Intn(st.spanK)
 
-		cfg := core.DefaultConfig(k)
-		cfg.CountMatches = true
-		seq, err := core.Run(g, tp, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		e := NewEngine(g, Config{Ranks: 1 + rng.Intn(7), RanksPerNode: 2})
-		opts := DefaultOptions(k)
-		opts.CountMatches = true
-		dres, err := Run(e, tp, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		if dres.Set.Count() != seq.Set.Count() {
-			t.Fatalf("trial %d: prototype sets differ", trial)
-		}
-		for pi := range seq.Set.Protos {
-			if !dres.Solutions[pi].Verts.Equal(seq.Solutions[pi].Verts) {
-				t.Errorf("trial %d proto %d: vertex sets differ (dist=%d seq=%d)",
-					trial, pi, dres.Solutions[pi].Verts.Count(), seq.Solutions[pi].Verts.Count())
+			cfg := core.DefaultConfig(k)
+			cfg.CountMatches = true
+			seq, err := core.Run(g, tp, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !dres.Solutions[pi].Edges.Equal(seq.Solutions[pi].Edges) {
-				t.Errorf("trial %d proto %d: edge sets differ", trial, pi)
-			}
-			if dres.Solutions[pi].MatchCount != seq.Solutions[pi].MatchCount {
-				t.Errorf("trial %d proto %d: counts %d vs %d",
-					trial, pi, dres.Solutions[pi].MatchCount, seq.Solutions[pi].MatchCount)
+
+			for run := 0; run < st.enginesPerRun; run++ {
+				ranks := 1 + rng.Intn(7)
+				e := NewEngine(g, Config{Ranks: ranks, RanksPerNode: 2})
+				opts := DefaultOptions(k)
+				opts.CountMatches = true
+				dres, err := Run(e, tp, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				tag := fmt.Sprintf("seed %d trial %d ranks %d", st.seed, trial, ranks)
+				if dres.Set.Count() != seq.Set.Count() {
+					t.Fatalf("%s: prototype sets differ", tag)
+				}
+				for pi := range seq.Set.Protos {
+					if !dres.Solutions[pi].Verts.Equal(seq.Solutions[pi].Verts) {
+						t.Errorf("%s proto %d: vertex sets differ (dist=%d seq=%d)",
+							tag, pi, dres.Solutions[pi].Verts.Count(), seq.Solutions[pi].Verts.Count())
+					}
+					if !dres.Solutions[pi].Edges.Equal(seq.Solutions[pi].Edges) {
+						t.Errorf("%s proto %d: edge sets differ", tag, pi)
+					}
+					if dres.Solutions[pi].MatchCount != seq.Solutions[pi].MatchCount {
+						t.Errorf("%s proto %d: counts %d vs %d",
+							tag, pi, dres.Solutions[pi].MatchCount, seq.Solutions[pi].MatchCount)
+					}
+				}
 			}
 		}
 	}
@@ -640,86 +661,6 @@ func TestSimulatedLatencyExposure(t *testing.T) {
 	}
 	if !r1.Solutions[0].Verts.Equal(r2.Solutions[0].Verts) {
 		t.Error("latency changed results")
-	}
-}
-
-// TestDistCompactionDifferential checks compaction invisibility through the
-// distributed path: compaction off, the default threshold, and compaction
-// forced at every level and gather must all match the sequential engine's
-// compaction-off results bit for bit.
-func TestDistCompactionDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for trial := 0; trial < 6; trial++ {
-		g := randomGraph(rng, 30+rng.Intn(30), 90+rng.Intn(60), 3)
-		tp := randomTemplate(rng, 4, 3)
-		k := 1 + rng.Intn(2)
-
-		cfg := core.DefaultConfig(k)
-		cfg.CountMatches = true
-		cfg.CompactBelow = 0
-		seq, err := core.Run(g, tp, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		for _, threshold := range []float64{0, 0.5, 1.1} {
-			e := NewEngine(g, Config{Ranks: 1 + rng.Intn(7), RanksPerNode: 2})
-			opts := DefaultOptions(k)
-			opts.CountMatches = true
-			opts.CompactBelow = threshold
-			dres, err := Run(e, tp, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if threshold > 1 && dres.VerifyMetrics.Compactions == 0 {
-				t.Errorf("trial %d: forced compaction never fired", trial)
-			}
-			for pi := range seq.Set.Protos {
-				if !dres.Solutions[pi].Verts.Equal(seq.Solutions[pi].Verts) {
-					t.Errorf("trial %d threshold %v proto %d: vertex sets differ",
-						trial, threshold, pi)
-				}
-				if !dres.Solutions[pi].Edges.Equal(seq.Solutions[pi].Edges) {
-					t.Errorf("trial %d threshold %v proto %d: edge sets differ",
-						trial, threshold, pi)
-				}
-				if dres.Solutions[pi].MatchCount != seq.Solutions[pi].MatchCount {
-					t.Errorf("trial %d threshold %v proto %d: counts %d vs %d",
-						trial, threshold, pi, dres.Solutions[pi].MatchCount, seq.Solutions[pi].MatchCount)
-				}
-			}
-		}
-	}
-}
-
-// TestBalancedOwnersViewMatchesBitvec pins the repartitioning equivalence:
-// owners computed from a compacted view must equal owners computed from the
-// original active bit vector, for every rank count.
-func TestBalancedOwnersViewMatchesBitvec(t *testing.T) {
-	rng := rand.New(rand.NewSource(48))
-	g := randomGraph(rng, 80, 200, 3)
-	s := core.NewFullState(g)
-	for v := 0; v < 80; v++ {
-		if rng.Intn(3) != 0 {
-			s.DeactivateVertex(graph.VertexID(v))
-		}
-	}
-	var m core.Metrics
-	cs := core.CompactState(s, 1.1, &m)
-	if cs.View() == nil {
-		t.Fatal("compaction did not fire")
-	}
-	for _, ranks := range []int{1, 2, 5} {
-		want := BalancedOwners(s.VertexBits(), ranks)
-		got := BalancedOwnersView(cs.View(), ranks)
-		if len(want) != len(got) {
-			t.Fatalf("ranks %d: length %d vs %d", ranks, len(got), len(want))
-		}
-		for v := range want {
-			if want[v] != got[v] {
-				t.Fatalf("ranks %d vertex %d: owner %d vs %d", ranks, v, got[v], want[v])
-			}
-		}
 	}
 }
 

@@ -34,12 +34,6 @@ type Options struct {
 	// distributed run calls back into (the sequential gather-and-finalize
 	// step); 0 = sequential, mirroring core.Config.Workers.
 	Workers int
-	// CompactBelow mirrors core.Config.CompactBelow: level states and
-	// gathered per-prototype subgraphs are physically compacted once their
-	// active fraction drops below this threshold, and rank repartitioning
-	// walks the compacted vertex list instead of the full bit vector. 0
-	// disables compaction.
-	CompactBelow float64
 	// Budget mirrors core.Config.Budget: it bounds the run's work, bytes
 	// and wall time, and exhaustion stops the pipeline between levels with
 	// a Partial result (completed levels exact, see core.Result.Partial).
@@ -64,7 +58,6 @@ func DefaultOptions(k int) Options {
 		FrequencyOrdering:   true,
 		LabelPairRefinement: true,
 		Rebalance:           true,
-		CompactBelow:        0.5,
 	}
 }
 
@@ -231,15 +224,13 @@ func runLevelDist(ctx context.Context, e *Engine, res *Result, level *core.State
 		LabelsGenerated: labels,
 		Duration:        time.Since(start),
 		ActiveFraction:  levelFrac,
-		Compacted:       level.View() != nil,
 		Complete:        true,
 	})
 	if dist > 0 {
 		next = containmentState(g, set, res.Candidate, unionVerts, unionEdges, dist, opts.LabelPairRefinement)
 		nextFrac = core.ActiveFraction(next)
-		next = core.CompactStateBudgeted(next, opts.CompactBelow, &res.VerifyMetrics, core.NewCancelCheck(ctx))
 		if opts.Rebalance || activeRanks < e.cfg.Ranks {
-			e.SetOwners(balancedOwnersFor(next, activeRanks))
+			e.SetOwners(BalancedOwners(next.VertexBits(), activeRanks))
 		}
 	}
 	return next, nextFrac, nil
@@ -282,12 +273,9 @@ func (e *Engine) searchPrototypeDist(ctx context.Context, level *core.State, t *
 		}
 	}
 
-	// Gather the pruned subgraph, compact it (distributed pruning typically
-	// leaves a small active fraction) and finalize exactly — the in-process
+	// Gather the pruned subgraph and finalize exactly — the in-process
 	// analogue of reloading the pruned graph on a small deployment (§4).
-	cs := ds.toCoreState()
-	cs = core.CompactStateBudgeted(cs, opts.CompactBelow, vm, cc)
-	return core.FinalizeSolution(ctx, cs, t, opts.Workers, opts.CountMatches, vm)
+	return core.FinalizeSolution(ctx, ds.toCoreState(), t, opts.Workers, opts.CountMatches, vm)
 }
 
 // containmentState mirrors the sequential engine's Obs.-1 construction:

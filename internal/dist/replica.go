@@ -100,10 +100,8 @@ func (e *Engine) searchOnReplica(t *pattern.Template, freq constraint.LabelFreq,
 			ds.lccDist(t)
 		}
 	}
-	cs := ds.toCoreState()
 	var vm core.Metrics
-	cs = core.CompactState(cs, opts.CompactBelow, &vm)
-	return core.FinalizeSolution(context.Background(), cs, t, opts.Workers, opts.CountMatches, &vm)
+	return core.FinalizeSolution(context.Background(), ds.toCoreState(), t, opts.Workers, opts.CountMatches, &vm)
 }
 
 // translate maps a replica-coordinate solution back to the original graph.

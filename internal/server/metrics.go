@@ -275,28 +275,6 @@ func (r *metricsRegistry) writeProm(w io.Writer, inFlight, waiting int, heapByte
 	fmt.Fprintf(w, "# TYPE amatchd_nlcc_cache_evictions_total counter\n")
 	fmt.Fprintf(w, "amatchd_nlcc_cache_evictions_total %d\n", p.CacheEvictions)
 
-	fmt.Fprintf(w, "# HELP amatchd_compaction_checks_total Search-space compaction threshold evaluations.\n")
-	fmt.Fprintf(w, "# TYPE amatchd_compaction_checks_total counter\n")
-	fmt.Fprintf(w, "amatchd_compaction_checks_total %d\n", p.CompactionChecks)
-	fmt.Fprintf(w, "# HELP amatchd_compactions_total Compacted graph views built by the pipeline.\n")
-	fmt.Fprintf(w, "# TYPE amatchd_compactions_total counter\n")
-	fmt.Fprintf(w, "amatchd_compactions_total %d\n", p.Compactions)
-	fmt.Fprintf(w, "# HELP amatchd_compactions_declined_total Compactions skipped because the view would not fit the query's byte budget.\n")
-	fmt.Fprintf(w, "# TYPE amatchd_compactions_declined_total counter\n")
-	fmt.Fprintf(w, "amatchd_compactions_declined_total %d\n", p.CompactionsDeclined)
-	fmt.Fprintf(w, "# HELP amatchd_compaction_bytes_reclaimed_total Working-set bytes the kernels stopped touching thanks to compaction.\n")
-	fmt.Fprintf(w, "# TYPE amatchd_compaction_bytes_reclaimed_total counter\n")
-	fmt.Fprintf(w, "amatchd_compaction_bytes_reclaimed_total %d\n", p.CompactionBytesReclaimed)
-	fmt.Fprintf(w, "# HELP amatchd_pipeline_active_fraction Mean active fraction observed at compaction checks, before (pre) and after (post) compaction applied.\n")
-	fmt.Fprintf(w, "# TYPE amatchd_pipeline_active_fraction gauge\n")
-	preFrac, postFrac := 1.0, 1.0
-	if p.CompactionChecks > 0 {
-		preFrac = p.CompactionFracBefore / float64(p.CompactionChecks)
-		postFrac = p.CompactionFracAfter / float64(p.CompactionChecks)
-	}
-	fmt.Fprintf(w, "amatchd_pipeline_active_fraction{stage=\"pre\"} %g\n", preFrac)
-	fmt.Fprintf(w, "amatchd_pipeline_active_fraction{stage=\"post\"} %g\n", postFrac)
-
 	fmt.Fprintf(w, "# HELP amatchd_result_cache_hits_total /match queries served from the cross-query result cache (verbatim hits plus coalesced single-flight followers).\n")
 	fmt.Fprintf(w, "# TYPE amatchd_result_cache_hits_total counter\n")
 	fmt.Fprintf(w, "amatchd_result_cache_hits_total %d\n", cg.resultHits)

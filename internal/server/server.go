@@ -61,10 +61,6 @@ type Config struct {
 	// GOMAXPROCS, falling back to the sequential kernels when that quota
 	// is a single core. Negative forces the sequential kernels.
 	Workers int
-	// CompactBelow is the per-query physical-compaction threshold
-	// (core.Config.CompactBelow). 0 keeps the pipeline default (0.5);
-	// negative disables compaction.
-	CompactBelow float64
 	// QueryTimeout bounds each query's pipeline time; 0 disables (the
 	// request context still cancels on client disconnect).
 	QueryTimeout time.Duration
@@ -570,20 +566,13 @@ func (s *Server) writePipelineError(w http.ResponseWriter, r *http.Request, q *r
 }
 
 // queryConfig is the pipeline config of one query at edit distance k: the
-// pipeline defaults plus the server's cache, worker and compaction settings.
-// A positive CompactBelow overrides the default threshold, 0 keeps it and
-// negative disables compaction.
+// pipeline defaults plus the server's cache and worker settings.
 func (s *Server) queryConfig(k int) core.Config {
 	cfg := core.DefaultConfig(k)
 	cfg.CacheBytes = s.cfg.CacheBytes
 	cfg.SharedCache = s.nlccShared
 	if s.cfg.Workers > 0 {
 		cfg.Workers = s.cfg.Workers
-	}
-	if s.cfg.CompactBelow > 0 {
-		cfg.CompactBelow = s.cfg.CompactBelow
-	} else if s.cfg.CompactBelow < 0 {
-		cfg.CompactBelow = 0
 	}
 	return cfg
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"approxmatch/internal/graph"
@@ -70,14 +71,26 @@ func BenchmarkWorkRecyclingAblation(b *testing.B) {
 }
 
 // benchRMAT builds the shared benchmark graph/template pair for the kernel
-// worker benchmarks: a scale-12 R-MAT graph and a decorated triangle over
-// its densest label classes.
+// worker benchmarks: a scale-12 R-MAT graph with ids relabeled by degree,
+// hubs first, as amatchd serves it, and a triangle over the graph's three
+// most frequent labels.
 func benchRMAT(b *testing.B) (*graph.Graph, *pattern.Template) {
 	b.Helper()
 	p := rmat.Graph500(12, 42)
 	p.EdgeFactor = 8
-	g := rmat.Generate(p)
-	tp := pattern.MustNew([]pattern.Label{2, 3, 2},
+	g := graph.RelabelByDegree(rmat.Generate(p))
+	freq := g.LabelFrequencies()
+	labels := make([]pattern.Label, 0, len(freq))
+	for l := range freq {
+		labels = append(labels, l)
+	}
+	sort.Slice(labels, func(i, j int) bool {
+		if freq[labels[i]] != freq[labels[j]] {
+			return freq[labels[i]] > freq[labels[j]]
+		}
+		return labels[i] < labels[j]
+	})
+	tp := pattern.MustNew(labels[:3],
 		[]pattern.Edge{{I: 0, J: 1}, {I: 1, J: 2}, {I: 0, J: 2}})
 	return g, tp
 }

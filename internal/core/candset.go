@@ -75,13 +75,15 @@ func maxCandidateSet(g *graph.Graph, t *pattern.Template, restrict *bitvec.Vecto
 	// Candidate masks over H0 vertices, by label only. Vertices outside the
 	// restriction mask stay inactive with ω = 0.
 	omega := make(candidateSet, g.NumVertices())
+	var unlabeled []graph.VertexID
 	s.ForEachActiveVertex(func(v graph.VertexID) {
 		bits := p.labelBits[g.Label(v)] | p.wildBits
 		omega[v] = bits
 		if bits == 0 {
-			s.DeactivateVertex(v)
+			unlabeled = append(unlabeled, v)
 		}
 	})
+	s.deactivateVertices(unlabeled, bitvec.New(g.NumVertices()))
 
 	// Drop edges whose label pair never occurs in the template, and —
 	// for edge-labeled templates — edges whose own label no template edge

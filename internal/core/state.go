@@ -89,16 +89,63 @@ func (s *State) VertexActive(v graph.VertexID) bool { return s.verts.Get(int(v))
 // correctness, because every traversal re-checks the far endpoint's vertex
 // bit, but dangling reverse slots inflate NumActiveDirectedEdges and the
 // StateBytes/level-stats accounting built on it.)
+//
+// Every State keeps two invariants: slot symmetry (the two directed slots
+// of an edge agree) and no active slot touching an inactive vertex. By
+// symmetry an inactive out-slot already has an inactive reverse slot, so
+// only v's active out-slots need their reverse slot looked up.
 func (s *State) DeactivateVertex(v graph.VertexID) {
 	s.verts.Clear(int(v))
 	ns := s.g.Neighbors(v)
 	base := int(s.g.AdjOffset(v))
-	for i, u := range ns {
-		s.edges.Clear(base + i)
+	s.edges.ForEachInRange(base, base+len(ns), func(slot int) {
+		s.edges.Clear(slot)
+		u := ns[slot-base]
 		if j := s.g.EdgeIndex(u, v); j >= 0 {
 			s.edges.Clear(s.slot(u, j))
 		}
+	})
+}
+
+// deactivateVertices deactivates every vertex of vs (duplicates and
+// already-inactive vertices allowed) without searching any adjacency list.
+// Pass 1 clears each v's vertex bit and active out-slots and marks the far
+// endpoints in scratch; pass 2 walks each marked vertex that is still
+// active once and clears its active slots toward now-inactive vertices.
+// scratch must have one bit per vertex and be all clear; it is left clear.
+//
+// The result is bit-identical to calling DeactivateVertex on each v, in
+// any order: both clear exactly the vertex bits of vs and every slot with
+// an endpoint in vs. Pass 1 clears the slots leaving vs. A slot (u→v) with
+// v in vs and u not in vs that is active has, by symmetry, an active twin
+// (v→u), so pass 1 marks u; u is active because an active slot never
+// touches an inactive vertex, so pass 2 clears (u→v). Pass 2 clears no
+// other slot, since before the call no active slot led to an inactive
+// vertex.
+func (s *State) deactivateVertices(vs []graph.VertexID, scratch *bitvec.Vector) {
+	for _, v := range vs {
+		s.verts.Clear(int(v))
+		ns := s.g.Neighbors(v)
+		base := int(s.g.AdjOffset(v))
+		s.edges.ForEachInRange(base, base+len(ns), func(slot int) {
+			s.edges.Clear(slot)
+			scratch.Set(int(ns[slot-base]))
+		})
 	}
+	scratch.ForEach(func(i int) {
+		scratch.Clear(i)
+		if !s.verts.Get(i) {
+			return
+		}
+		u := graph.VertexID(i)
+		ns := s.g.Neighbors(u)
+		base := int(s.g.AdjOffset(u))
+		s.edges.ForEachInRange(base, base+len(ns), func(slot int) {
+			if !s.verts.Get(int(ns[slot-base])) {
+				s.edges.Clear(slot)
+			}
+		})
+	})
 }
 
 // slot returns the directed adjacency slot index for u's i-th neighbor.

@@ -57,6 +57,13 @@ type superstep struct {
 	cc     *CancelCheck
 	parts  []*partDelta
 	bounds []int // len(parts)+1 partition boundaries over vertex IDs
+	// verts gathers every partition's deactivations for one batched
+	// State.deactivateVertices call per merge; scratch is that call's
+	// vertex-mark vector, allocated at the first merge that needs it. Like
+	// the partDelta buffers, neither is charged to the byte budget, so
+	// bytes stay independent of the schedule.
+	verts   []graph.VertexID
+	scratch *bitvec.Vector
 }
 
 func newSuperstep(pool *Pool, s *State, omega candidateSet, cc *CancelCheck) *superstep {
@@ -128,6 +135,11 @@ func (ss *superstep) run(fn func(d *partDelta, lo, hi int)) {
 // and commutative, so the merged state and counters are deterministic. It
 // reports whether any partition eliminated anything.
 //
+// Slot clears come in symmetric pairs (deferEdgeAt), so both State
+// invariants still hold when all partitions' vertex deactivations are then
+// applied as one batch: one reverse-slot sweep instead of a search per
+// incident edge.
+//
 // Every partition's probe is charged here too: a fork flushes its ticks
 // only every cancelInterval ticks, so without the barrier charge each
 // partition's remainder would never reach the budget.
@@ -137,19 +149,24 @@ func (ss *superstep) merge(m *Metrics) bool {
 	}
 	ss.cc.Check()
 	changed := false
+	ss.verts = ss.verts[:0]
 	for _, d := range ss.parts {
 		m.Add(&d.m)
 		d.m = Metrics{}
 		for _, od := range d.omega {
 			ss.omega[od.v] &^= od.mask
 		}
-		for _, v := range d.verts {
-			ss.s.DeactivateVertex(v)
-		}
 		for _, sl := range d.slots {
 			ss.s.edges.Clear(sl)
 		}
+		ss.verts = append(ss.verts, d.verts...)
 		changed = changed || d.changed
+	}
+	if len(ss.verts) > 0 {
+		if ss.scratch == nil {
+			ss.scratch = bitvec.New(ss.s.g.NumVertices())
+		}
+		ss.s.deactivateVertices(ss.verts, ss.scratch)
 	}
 	return changed
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"approxmatch/internal/bitvec"
 	"approxmatch/internal/graph"
 	"approxmatch/internal/pattern"
 	"approxmatch/internal/rmat"
@@ -252,8 +253,10 @@ func TestWorkersCountersScheduleIndependent(t *testing.T) {
 	}
 }
 
-// assertSlotSymmetry asserts the state-invariant of the edge bit vector:
-// the two directed slots of every edge agree (no dangling one-sided slots).
+// assertSlotSymmetry asserts the two state invariants of the edge bit
+// vector: the two directed slots of every edge agree (no dangling one-sided
+// slots), and no active slot touches an inactive vertex. The batched
+// deactivation (State.deactivateVertices) relies on both.
 func assertSlotSymmetry(t *testing.T, s *State, tag string) {
 	t.Helper()
 	g := s.Graph()
@@ -270,18 +273,40 @@ func assertSlotSymmetry(t *testing.T, s *State, tag string) {
 				t.Fatalf("%s: asymmetric slots for edge (%d,%d): %v vs %v",
 					tag, v, u, s.edges.Get(base+i), s.edges.Get(rev))
 			}
+			if s.edges.Get(base+i) && (!s.verts.Get(v) || !s.verts.Get(int(u))) {
+				t.Fatalf("%s: active slot (%d,%d) has an inactive endpoint (%v, %v)",
+					tag, v, u, s.verts.Get(v), s.verts.Get(int(u)))
+			}
 		}
 	}
 }
 
+// hubFirstRMAT returns a scale-7 R-MAT graph with ids relabeled by degree,
+// hubs first — the id order amatchd serves, under which most reverse-slot
+// lookups land in a hub's adjacency list.
+func hubFirstRMAT(seed int64) *graph.Graph {
+	p := rmat.Graph500(7, seed)
+	p.EdgeFactor = 4
+	return graph.RelabelByDegree(rmat.Generate(p))
+}
+
 // TestSlotSymmetryAfterKernels runs every kernel on both schedules and
-// asserts the directed-slot bit vector stays symmetric throughout —
-// the invariant behind NumActiveDirectedEdges/StateBytes accounting.
+// asserts both state invariants hold throughout — slot symmetry is what
+// NumActiveDirectedEdges/StateBytes accounting rests on, and together they
+// make the batched barrier deactivation exact. The inputs are small
+// edge-labeled graphs and degree-relabeled R-MAT graphs.
 func TestSlotSymmetryAfterKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(1705))
-	for trial := 0; trial < 5; trial++ {
-		g := randomEdgeLabeledGraph(rng, 30, 90, 3, 2)
-		tp := randomEdgeLabeledTemplate(rng, 4, 3, 2)
+	for trial := 0; trial < 8; trial++ {
+		var g *graph.Graph
+		var tp *pattern.Template
+		if trial < 5 {
+			g = randomEdgeLabeledGraph(rng, 30, 90, 3, 2)
+			tp = randomEdgeLabeledTemplate(rng, 4, 3, 2)
+		} else {
+			g = hubFirstRMAT(int64(1705 + trial))
+			tp = randomDecoratedTemplate(rng, g)
+		}
 		for _, workers := range []int{0, 3} {
 			pool := NewPool(workers)
 			var m Metrics
@@ -301,6 +326,55 @@ func TestSlotSymmetryAfterKernels(t *testing.T) {
 			verifyExact(s, omega, tp, nil, &m, kernelOpts{})
 			assertSlotSymmetry(t, s, "verifyExact")
 			pool.Close()
+		}
+	}
+}
+
+// TestDeactivateVerticesMatchesLoop asserts the batched deactivation is
+// bit-identical to calling DeactivateVertex on each vertex, on a full state
+// and on a restricted seed state of a hub-first R-MAT graph, over rounds of
+// random batches that include hubs, duplicates and already-inactive
+// vertices.
+func TestDeactivateVerticesMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(1706))
+	g := hubFirstRMAT(1706)
+	n := g.NumVertices()
+	restrict := bitvec.New(n)
+	for v := 0; v < n; v++ {
+		if rng.Intn(3) != 0 {
+			restrict.Set(v)
+		}
+	}
+	for _, seed := range []*bitvec.Vector{nil, restrict} {
+		batch, loop := seedState(g, seed), seedState(g, seed)
+		scratch := bitvec.New(n)
+		for round := 0; round < 6; round++ {
+			var vs []graph.VertexID
+			for k, size := 0, 1+rng.Intn(12); k < size; k++ {
+				v := graph.VertexID(rng.Intn(n))
+				if rng.Intn(3) == 0 {
+					v = graph.VertexID(rng.Intn(8)) // a hub
+				}
+				vs = append(vs, v)
+				if rng.Intn(4) == 0 {
+					vs = append(vs, v)
+				}
+			}
+			batch.deactivateVertices(vs, scratch)
+			for _, v := range vs {
+				loop.DeactivateVertex(v)
+			}
+			tag := fmt.Sprintf("restricted=%v round %d", seed != nil, round)
+			if !batch.verts.Equal(loop.verts) || !batch.edges.Equal(loop.edges) {
+				t.Fatalf("%s: batch state differs from the DeactivateVertex loop", tag)
+			}
+			if scratch.Any() {
+				t.Fatalf("%s: scratch not left clear", tag)
+			}
+			assertSlotSymmetry(t, batch, tag)
+		}
+		if batch.NumActiveDirectedEdges() == 0 {
+			t.Fatal("every slot deactivated: the batches exercised nothing")
 		}
 	}
 }
